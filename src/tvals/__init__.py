@@ -18,6 +18,7 @@ from .evaluator import (
     evaluate_direct,
     evaluate_direct_many,
     evaluate_spec,
+    odd_power_tail,
 )
 from .indices import (
     IndexParseError,
@@ -38,7 +39,6 @@ from .numerics import (
     const_catalan,
     const_pi,
     euler_int,
-    odd_power_tail,
 )
 from .order import (
     BetaEntry,

@@ -384,6 +384,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
+def _int_at_least(minimum: int):
+    """argparse type: an integer not below ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tv",
@@ -393,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-bits", type=int, default=None,
+        p.add_argument("--budget-bits", type=_int_at_least(64), default=None,
                        help="precision ceiling in bits (default 4096)")
 
     def add_report(p: argparse.ArgumentParser) -> None:
@@ -404,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one value to a certified enclosure")
     p_eval.add_argument("--index", required=True,
                         help="comma-separated exponents, or 'empty'")
-    p_eval.add_argument("--tail", type=int, default=0,
+    p_eval.add_argument("--tail", type=_int_at_least(0), default=0,
                         help="tail offset n (0 = full value)")
-    p_eval.add_argument("--digits", type=int, default=30)
+    p_eval.add_argument("--digits", type=_int_at_least(1), default=30)
     p_eval.add_argument("--method", choices=("accelerated", "direct"),
                         default="accelerated")
     p_eval.add_argument("--cache", default=None, help="cache file path")
@@ -421,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_beta = sub.add_parser("beta", help="leading rows of the tail-value table")
-    p_beta.add_argument("--count", type=int, default=4)
+    p_beta.add_argument("--count", type=_int_at_least(1), default=4)
     add_common(p_beta)
     add_report(p_beta)
     p_beta.set_defaults(func=_cmd_beta)
@@ -432,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.set_defaults(func=_cmd_phi)
 
     p_chain = sub.add_parser("chain", help="certify the descending interleaved chain")
-    p_chain.add_argument("--blocks", type=int, default=4)
-    p_chain.add_argument("--per-block", type=int, default=8)
+    p_chain.add_argument("--blocks", type=_int_at_least(1), default=4)
+    p_chain.add_argument("--per-block", type=_int_at_least(1), default=8)
     add_common(p_chain)
     add_report(p_chain)
     p_chain.set_defaults(func=_cmd_chain)
@@ -441,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("identities", "limits", "order", "all"),
                           default="all")
-    p_verify.add_argument("--nmax", type=int, default=None)
+    p_verify.add_argument("--nmax", type=_int_at_least(1), default=None)
     add_common(p_verify)
     add_report(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
@@ -449,9 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="run a conjecture scan")
     p_scan.add_argument("--kind", choices=("p-sets", "collisions", "pairing"),
                         required=True)
-    p_scan.add_argument("--rank-max", type=int, default=3)
+    p_scan.add_argument("--rank-max", type=_int_at_least(1), default=3)
     p_scan.add_argument("--weight-max", type=int, default=4)
-    p_scan.add_argument("--nmax", type=int, default=None)
+    p_scan.add_argument("--nmax", type=_int_at_least(1), default=None)
     p_scan.add_argument("--total-max", type=int, default=None)
     add_common(p_scan)
     add_report(p_scan)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from mpmath import libmp
 
@@ -209,7 +209,7 @@ class Enclosure:
 
     def __mul__(self, other: "Enclosure") -> "Enclosure":
         p = self._join_prec(other)
-        # sign-determined cases avoid the eight-candidate scan (raw mpf sign
+        # sign-determined cases avoid the four-corner scan (raw mpf sign
         # field: 0 for >= 0, 1 for < 0)
         if self._lo[0] == 0 and other._lo[0] == 0:
             return Enclosure(
@@ -229,44 +229,25 @@ class Enclosure:
                 libmp.mpf_mul(self._lo, other._hi, p, _UP),
                 p,
             )
-        pairs = (
-            (self._lo, other._lo),
-            (self._lo, other._hi),
-            (self._hi, other._lo),
-            (self._hi, other._hi),
-        )
-        lo_candidates = [libmp.mpf_mul(a, b, p, _DOWN) for a, b in pairs]
-        hi_candidates = [libmp.mpf_mul(a, b, p, _UP) for a, b in pairs]
-        lo = lo_candidates[0]
-        for c in lo_candidates[1:]:
-            if libmp.mpf_lt(c, lo):
-                lo = c
-        hi = hi_candidates[0]
-        for c in hi_candidates[1:]:
-            if libmp.mpf_gt(c, hi):
-                hi = c
-        return Enclosure(lo, hi, p)
+        return self._corner_hull(other, libmp.mpf_mul, p)
 
     def __truediv__(self, other: "Enclosure") -> "Enclosure":
         if not (other.is_positive() or other.is_negative()):
             raise RoundingError("division by an interval containing zero")
-        p = self._join_prec(other)
-        pairs = (
-            (self._lo, other._lo),
-            (self._lo, other._hi),
-            (self._hi, other._lo),
-            (self._hi, other._hi),
-        )
-        lo_candidates = [libmp.mpf_div(a, b, p, _DOWN) for a, b in pairs]
-        hi_candidates = [libmp.mpf_div(a, b, p, _UP) for a, b in pairs]
-        lo = lo_candidates[0]
-        for c in lo_candidates[1:]:
-            if libmp.mpf_lt(c, lo):
-                lo = c
-        hi = hi_candidates[0]
-        for c in hi_candidates[1:]:
-            if libmp.mpf_gt(c, hi):
-                hi = c
+        return self._corner_hull(other, libmp.mpf_div, self._join_prec(other))
+
+    def _corner_hull(self, other: "Enclosure", op, p: int) -> "Enclosure":
+        """Outward hull of the directed-rounded ``op`` over the four
+        endpoint pairs (the image of a product or quotient of intervals)."""
+        lo = hi = None
+        for a in (self._lo, self._hi):
+            for b in (other._lo, other._hi):
+                down = op(a, b, p, _DOWN)
+                up = op(a, b, p, _UP)
+                if lo is None or libmp.mpf_lt(down, lo):
+                    lo = down
+                if hi is None or libmp.mpf_gt(up, hi):
+                    hi = up
         return Enclosure(lo, hi, p)
 
     def pow_int(self, exponent: int) -> "Enclosure":
@@ -394,10 +375,3 @@ def _format_scaled_decimal(units: int, digits: int) -> str:
     whole, frac = divmod(units, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
-
-def halving_refinements(start: Fraction, floor: Fraction) -> Iterator[Fraction]:
-    """Yield ``start, start/2, start/4, ...`` until below ``floor``."""
-    current = start
-    while current >= floor:
-        yield current
-        current = current / 2

@@ -36,6 +36,7 @@ from .enclosure import Enclosure
 from .errors import BudgetExceededError, DivergentError
 from .indices import MultiIndex, ValueSpec
 from .numerics import (
+    _GUARD_BITS,
     PrecisionBudget,
     base_expansion,
     evaluate_expansion,
@@ -49,6 +50,7 @@ __all__ = [
     "evaluate_spec",
     "evaluate_direct",
     "evaluate_direct_many",
+    "odd_power_tail",
     "prefix_expansion",
 ]
 
@@ -318,6 +320,23 @@ def evaluate_spec(
     return evaluate(
         EvalRequest(spec, Fraction(target_width), budget or PrecisionBudget())
     )
+
+
+def odd_power_tail(k: int, cutoff: int, precision_bits: int) -> Enclosure:
+    """Certified enclosure of ``sum_{m > cutoff} (2m-1)**(-k)``.
+
+    The depth-one tail ``t(k)_cutoff``, evaluated to an absolute width of
+    about ``precision_bits`` bits below its leading term within the default
+    :class:`PrecisionBudget`.  Raises :class:`DivergentError` for ``k <= 1``.
+    The result is positive and decreases as ``cutoff`` grows.
+    """
+    if k <= 1:
+        raise DivergentError(f"odd-power tail diverges for exponent {k}")
+    lead = Fraction(1, (2 * max(cutoff, 1) + 1) ** (k - 1))
+    target_width = lead * Fraction(1, 2**precision_bits) + Fraction(
+        1, 2 ** (precision_bits + _GUARD_BITS)
+    )
+    return evaluate_spec(ValueSpec((k,), cutoff), target_width)
 
 
 # ----------------------------------------------------------------------

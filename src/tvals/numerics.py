@@ -1,4 +1,4 @@
-"""Certified numeric building blocks: constants, exact sequences, tail sums.
+"""Certified numeric building blocks: constants, exact sequences, tail expansions.
 
 Everything here is either exact integer/rational arithmetic or an
 :class:`~tvals.enclosure.Enclosure` produced with explicit remainder bounds:
@@ -9,9 +9,6 @@ Everything here is either exact integer/rational arithmetic or an
   evaluated by an inverse-hyperbolic-tangent series; both have positive terms
   with certified geometric term ratios (1/4 and 1/3), giving closed-form
   tail bounds.
-* ``odd_power_tail`` encloses sums of reciprocal odd powers beyond a cutoff
-  using an Euler--Maclaurin expansion in ``w = 1/(2n+1)`` whose remainder is
-  bounded by the first omitted term (the summand is completely monotone).
 
 All functions are pure; memoization caches only deterministic values.
 """
@@ -36,7 +33,6 @@ __all__ = [
     "base_expansion",
     "evaluate_expansion",
     "expansion_remainder_bound",
-    "odd_power_tail",
 ]
 
 _GUARD_BITS = 32
@@ -46,22 +42,18 @@ _GUARD_BITS = 32
 class PrecisionBudget:
     """Resource ceiling for adaptive evaluation.
 
-    ``start_bits`` is the first precision rung, ``max_bits`` the ceiling
-    (rungs double), and ``max_terms`` caps the number of summation terms any
-    single direct evaluation may spend.
+    ``start_bits`` is the first precision rung and ``max_bits`` the ceiling
+    (rungs double).
     """
 
     start_bits: int = 64
     max_bits: int = 4096
-    max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.start_bits < 8:
             raise ValueError("start_bits must be at least 8")
         if self.max_bits < self.start_bits:
             raise ValueError("max_bits must be at least start_bits")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
 
     def rungs(self) -> Iterator[int]:
         """Yield precision rungs ``start, 2*start, ...`` capped at ``max_bits``."""
@@ -222,7 +214,7 @@ def const_catalan(precision_bits: int) -> Enclosure:
 
 
 # ----------------------------------------------------------------------
-# odd-power tail sums
+# odd-power tail expansions
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
 def base_expansion(k: int, order: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
@@ -295,65 +287,3 @@ def evaluate_expansion(
         prev_power = power
         acc = acc + Enclosure.from_fraction(coeff, wp) * w_pow
     return acc.widen(expansion_remainder_bound(bound, order, n))
-
-
-def _kth_root_ceil(x: int, k: int) -> int:
-    """Smallest positive integer ``r`` with ``r**k >= x``."""
-    if x <= 1:
-        return 1
-    r = max(1, int(round(x ** (1.0 / k))))
-    while r**k >= x and (r - 1) ** k >= x:
-        r -= 1
-    while r**k < x:
-        r += 1
-    return r
-
-
-def _tail_seed_plan(k: int, cutoff: int, target_width: Fraction) -> tuple[int, int]:
-    """Choose ``(order, seed)`` with ``seed >= max(cutoff, 1)`` so the expansion
-    error at the seed is below ``target_width / 4``, minimizing work."""
-    best: tuple[int, int, int] | None = None  # (cost, order, seed)
-    for order in (8, 12, 16, 24, 32, 48, 64, 96, 128):
-        _, bound = base_expansion(k, order)
-        ratio = bound * 4 / target_width
-        ratio_int = max(1, -((-ratio.numerator) // ratio.denominator))
-        root = _kth_root_ceil(ratio_int, order + 1)
-        seed = max(1, cutoff, root // 2)
-        while (2 * seed + 1) ** (order + 1) < ratio_int:
-            seed += 1
-        steps = seed - cutoff
-        if steps > 100_000:
-            continue
-        cost = steps + 3 * order
-        if best is None or cost < best[0]:
-            best = (cost, order, seed)
-    if best is None:
-        raise ValueError(
-            f"no expansion schedule reaches width {target_width} for exponent {k}"
-        )
-    return best[1], best[2]
-
-
-def odd_power_tail(k: int, cutoff: int, precision_bits: int) -> Enclosure:
-    """Certified enclosure of ``sum_{m > cutoff} (2m-1)**(-k)``.
-
-    Raises :class:`DivergentError` for ``k <= 1``.  The result is positive
-    and decreases as ``cutoff`` grows.
-    """
-    if k <= 1:
-        raise DivergentError(f"odd-power tail diverges for exponent {k}")
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    # magnitude scale from the leading term, used to set an absolute target
-    lead = Fraction(1, (2 * max(cutoff, 1) + 1) ** (k - 1))
-    target_width = lead * Fraction(1, 2**precision_bits) + Fraction(
-        1, 2 ** (precision_bits + _GUARD_BITS)
-    )
-    order, seed = _tail_seed_plan(k, cutoff, target_width)
-    coeffs, bound = base_expansion(k, order)
-    acc = evaluate_expansion(coeffs, bound, order, seed, precision_bits)
-    wp = precision_bits + _GUARD_BITS
-    for j in range(seed - 1, cutoff - 1, -1):
-        term = Enclosure.from_fraction(Fraction(1, (2 * j + 1) ** k), wp)
-        acc = acc + term
-    return acc

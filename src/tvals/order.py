@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .enclosure import Enclosure
 from .errors import BudgetExceededError, UnresolvedComparisonError
@@ -149,6 +149,24 @@ def _scalar_verdict(
     return Verdict.UNRESOLVED
 
 
+def _decide(
+    left: ValueSpec, right: Union[ValueSpec, Fraction], budget: PrecisionBudget
+) -> Verdict:
+    """Certified ``GREATER`` or ``LESS`` of ``left`` against another named
+    value or an exact rational; raises
+    :class:`~tvals.errors.UnresolvedComparisonError` when they cannot be
+    separated within the budget."""
+    if isinstance(right, ValueSpec):
+        verdict = compare(left, right, budget).verdict
+    else:
+        verdict = _scalar_verdict(left, right, budget)
+    if verdict is Verdict.UNRESOLVED:
+        raise UnresolvedComparisonError(
+            f"{left} not separable from {right}", left=left, right=right
+        )
+    return verdict
+
+
 def _depth_max_index(d: int) -> MultiIndex:
     """The depth-``d`` index of componentwise-minimal exponents."""
     return (2,) + (1,) * (d - 1)
@@ -205,6 +223,35 @@ def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int
     )
 
 
+def _prefixes_above(
+    d: int,
+    length: int,
+    offset: int,
+    threshold: Fraction,
+    budget: PrecisionBudget,
+    partial: MultiIndex = (),
+) -> Iterator[MultiIndex]:
+    """Depth-first branch-and-bound over the first ``length`` exponents of
+    depth-``d`` indices extending ``partial``.
+
+    Yields every prefix whose ones-padded value at ``offset`` is certifiably
+    above ``threshold``, each exponent in increasing order.  Padding with ones
+    gives the largest value of the subtree, and raising any exponent lowers
+    it, so the walk along a position stops at the first certified ``LESS``.
+    """
+    if len(partial) == length:
+        yield partial
+        return
+    exponent = 2 if len(partial) == 0 else 1
+    while True:
+        candidate = partial + (exponent,)
+        padded = candidate + (1,) * (d - len(candidate))
+        if _decide(ValueSpec(padded, offset), threshold, budget) is Verdict.LESS:
+            return
+        yield from _prefixes_above(d, length, offset, threshold, budget, candidate)
+        exponent += 1
+
+
 @lru_cache(maxsize=None)
 def enumerate_tails_above(
     threshold: Fraction, budget: PrecisionBudget = _DEFAULT_BUDGET
@@ -225,31 +272,8 @@ def enumerate_tails_above(
     if threshold >= 1:
         return ()
     found: list[MultiIndex] = [()]
-    cap = _depth_cap(threshold, 1, budget)
-
-    def explore(d: int, partial: MultiIndex) -> None:
-        position = len(partial) + 1
-        exponent = 2 if position == 1 else 1
-        while True:
-            candidate = partial + (exponent,)
-            padded = candidate + (1,) * (d - position)
-            verdict = _scalar_verdict(ValueSpec(padded, 1), threshold, budget)
-            if verdict is Verdict.LESS:
-                return
-            if verdict is Verdict.UNRESOLVED:
-                raise UnresolvedComparisonError(
-                    f"threshold {threshold} too close to the tail of {padded}",
-                    left=ValueSpec(padded, 1),
-                    right=threshold,
-                )
-            if position == d:
-                found.append(candidate)
-            else:
-                explore(d, candidate)
-            exponent += 1
-
-    for d in range(1, cap + 1):
-        explore(d, ())
+    for d in range(1, _depth_cap(threshold, 1, budget) + 1):
+        found.extend(_prefixes_above(d, d, 1, threshold, budget))
 
     def sort_key(index: MultiIndex):
         if len(index) == 0:
@@ -261,7 +285,7 @@ def enumerate_tails_above(
 
 
 def _certified_insertion_sort(
-    specs: list[ValueSpec], budget: PrecisionBudget, context: str
+    specs: list[ValueSpec], budget: PrecisionBudget
 ) -> list[ValueSpec]:
     """Sort decreasing with certified pairwise comparisons (values distinct)."""
     ordered: list[ValueSpec] = []
@@ -269,14 +293,7 @@ def _certified_insertion_sort(
         lo, hi = 0, len(ordered)
         while lo < hi:
             mid = (lo + hi) // 2
-            outcome = compare(spec, ordered[mid], budget)
-            if outcome.verdict is Verdict.UNRESOLVED:
-                raise UnresolvedComparisonError(
-                    f"{context}: cannot separate {spec} from {ordered[mid]}",
-                    left=spec,
-                    right=ordered[mid],
-                )
-            if outcome.verdict is Verdict.GREATER:
+            if _decide(spec, ordered[mid], budget) is Verdict.GREATER:
                 hi = mid
             else:
                 lo = mid + 1
@@ -291,9 +308,7 @@ def _sorted_tails_above(
     """Tail specs above ``threshold`` in certified decreasing order."""
     tails = enumerate_tails_above(threshold, budget)
     return tuple(
-        _certified_insertion_sort(
-            [ValueSpec(index, 1) for index in tails], budget, "tail table"
-        )
+        _certified_insertion_sort([ValueSpec(index, 1) for index in tails], budget)
     )
 
 
@@ -341,6 +356,20 @@ def beta_table(
     return tuple(entries)
 
 
+def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
+    """Number of tails certifiably above the value of ``spec`` (its own tail
+    excluded), by complete enumeration just below the value."""
+    if len(spec.index) == 0:
+        enclosure = Enclosure.exact_int(1)
+    else:
+        enclosure = _enclose(spec, Fraction(1, 2**48), budget)
+    threshold = _quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
+    tails = [ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)]
+    return sum(
+        _decide(tail, spec, budget) is Verdict.GREATER for tail in tails if tail != spec
+    )
+
+
 def rank_of_tail(
     index: MultiIndex, budget: Optional[PrecisionBudget] = None
 ) -> int:
@@ -354,26 +383,7 @@ def rank_of_tail(
     budget = budget or _DEFAULT_BUDGET
     if not is_admissible(index):
         raise ValueError(f"index {index} is not admissible")
-    spec = ValueSpec(index, 1)
-    if len(index) == 0:
-        enclosure = Enclosure.exact_int(1)
-    else:
-        enclosure = _enclose(spec, Fraction(1, 2**48), budget)
-    threshold = _quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
-    above = 0
-    for candidate in enumerate_tails_above(threshold, budget):
-        if candidate == index:
-            continue
-        outcome = compare(ValueSpec(candidate, 1), spec, budget)
-        if outcome.verdict is Verdict.UNRESOLVED:
-            raise UnresolvedComparisonError(
-                f"tail of {candidate} not separable from tail of {index}",
-                left=ValueSpec(candidate, 1),
-                right=spec,
-            )
-        if outcome.verdict is Verdict.GREATER:
-            above += 1
-    return above + 1
+    return _tails_above(ValueSpec(index, 1), budget) + 1
 
 
 def band_prefix(
@@ -409,84 +419,29 @@ def band_prefix(
         )
     top_spec = None if band == 1 else ValueSpec(table[band - 2].index, 1)
     collected: list[MultiIndex] = []
-    cap = _depth_cap(alpha_lo, 0, budget)
-
-    def leaf_family(partial: MultiIndex, d: int) -> None:
-        """Walk the final exponent of one family, collecting band members."""
-        if d >= 2:
-            limit_spec = ValueSpec(partial, 1)
-        else:
-            limit_spec = ValueSpec((), 1)  # exact value 1
-        if top_spec is not None:
-            if limit_spec == top_spec:
-                return  # limit equals the band top exactly: family stays above
-            outcome = compare(limit_spec, top_spec, budget)
-            if outcome.verdict is Verdict.UNRESOLVED:
-                raise UnresolvedComparisonError(
-                    f"family limit {limit_spec} not separable from band top "
-                    f"{top_spec}",
-                    left=limit_spec,
-                    right=top_spec,
-                )
-            if outcome.verdict is Verdict.GREATER:
-                return  # whole family sits above the band
-        exponent = 2 if d == 1 else 1
-        below_top = top_spec is None
-        while True:
-            candidate = partial + (exponent,)
-            spec = ValueSpec(candidate, 0)
-            verdict = _scalar_verdict(spec, alpha_lo, budget)
-            if verdict is Verdict.LESS:
-                return
-            if verdict is Verdict.UNRESOLVED:
-                raise UnresolvedComparisonError(
-                    f"value of {candidate} not separable from alpha",
-                    left=spec,
-                    right=alpha_lo,
-                )
-            if not below_top:
-                # values decrease along the family, so once one drops below
-                # the band top the rest need no further comparison
-                outcome = compare(spec, top_spec, budget)
-                if outcome.verdict is Verdict.UNRESOLVED:
-                    raise UnresolvedComparisonError(
-                        f"value of {candidate} not separable from band top",
-                        left=spec,
-                        right=top_spec,
+    # depth-1 values exceed 1 and live in band 1
+    for d in range(1 if band == 1 else 2, _depth_cap(alpha_lo, 0, budget) + 1):
+        for partial in _prefixes_above(d, d - 1, 0, alpha_lo, budget):
+            limit_spec = ValueSpec(partial, 1)  # exact value 1 at depth 1
+            below_top = top_spec is None
+            if not below_top and (
+                limit_spec == top_spec
+                or _decide(limit_spec, top_spec, budget) is Verdict.GREATER
+            ):
+                continue  # the whole family sits above the band
+            for candidate in _prefixes_above(d, d, 0, alpha_lo, budget, partial):
+                if not below_top:
+                    # values decrease along the family, so once one drops
+                    # below the band top the rest need no further comparison
+                    below_top = (
+                        _decide(ValueSpec(candidate, 0), top_spec, budget)
+                        is Verdict.LESS
                     )
-                below_top = outcome.verdict is Verdict.LESS
-            if below_top:
-                collected.append(candidate)
-            exponent += 1
-
-    def explore(d: int, partial: MultiIndex) -> None:
-        position = len(partial) + 1
-        if position == d:
-            leaf_family(partial, d)
-            return
-        exponent = 2 if position == 1 else 1
-        while True:
-            candidate = partial + (exponent,)
-            padded = candidate + (1,) * (d - position)
-            verdict = _scalar_verdict(ValueSpec(padded, 0), alpha_lo, budget)
-            if verdict is Verdict.LESS:
-                return
-            if verdict is Verdict.UNRESOLVED:
-                raise UnresolvedComparisonError(
-                    f"subtree bound at {padded} not separable from alpha",
-                    left=ValueSpec(padded, 0),
-                    right=alpha_lo,
-                )
-            explore(d, candidate)
-            exponent += 1
-
-    for d in range(1, cap + 1):
-        if d == 1 and band >= 2:
-            continue  # depth-1 values exceed 1 and live in band 1
-        explore(d, ())
+                if below_top:
+                    collected.append(candidate)
 
     ordered = _certified_insertion_sort(
-        [ValueSpec(index, 0) for index in collected], budget, f"band {band}"
+        [ValueSpec(index, 0) for index in collected], budget
     )
     return [
         (spec.index, _enclose(spec, Fraction(1, 2**48), budget)) for spec in ordered
@@ -503,21 +458,7 @@ def band_of_value(
     budget = budget or _DEFAULT_BUDGET
     if len(index) == 0 or not is_admissible(index):
         raise ValueError(f"index {index} must be nonempty admissible")
-    spec = ValueSpec(index, 0)
-    enclosure = _enclose(spec, Fraction(1, 2**48), budget)
-    threshold = _quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
-    tails_above = 0
-    for candidate in enumerate_tails_above(threshold, budget):
-        outcome = compare(ValueSpec(candidate, 1), spec, budget)
-        if outcome.verdict is Verdict.UNRESOLVED:
-            raise UnresolvedComparisonError(
-                f"value of {index} not separable from the tail of {candidate}",
-                left=spec,
-                right=ValueSpec(candidate, 1),
-            )
-        if outcome.verdict is Verdict.GREATER:
-            tails_above += 1
-    return tails_above + 1
+    return _tails_above(ValueSpec(index, 0), budget) + 1
 
 
 def phi(
@@ -539,23 +480,15 @@ def phi(
     band = band_of_value(index, budget)
     enclosure = _enclose(spec, Fraction(1, 2**48), budget)
     alpha_threshold = enclosure.lo_fraction - enclosure.width()
-    members = band_prefix(band, alpha_threshold, budget)
-    above = 0
-    present = False
-    for member_index, _ in members:
-        if member_index == index:
-            present = True
-            continue
-        outcome = compare(ValueSpec(member_index, 0), spec, budget)
-        if outcome.verdict is Verdict.UNRESOLVED:
-            raise UnresolvedComparisonError(
-                f"band member {member_index} not separable from {index}",
-                left=ValueSpec(member_index, 0),
-                right=spec,
-            )
-        if outcome.verdict is Verdict.GREATER:
-            above += 1
-    if not present:
+    members = [
+        ValueSpec(member, 0) for member, _ in band_prefix(band, alpha_threshold, budget)
+    ]
+    above = sum(
+        _decide(member, spec, budget) is Verdict.GREATER
+        for member in members
+        if member != spec
+    )
+    if spec not in members:
         raise BudgetExceededError(
             f"band prefix for {index} did not recover the index itself"
         )

@@ -36,6 +36,7 @@ from .indices import (
 )
 from .numerics import PrecisionBudget, const_catalan, const_pi, euler_int
 from .order import (
+    ComparisonOutcome,
     Verdict,
     band_of_value,
     band_prefix,
@@ -163,6 +164,29 @@ def _overlap_finding(
     )
 
 
+def _comparison_finding(
+    subject: str,
+    outcome: ComparisonOutcome,
+    expected: Verdict,
+    details: Optional[dict[str, str]] = None,
+) -> Finding:
+    """``pass`` when the certified verdict is ``expected``, ``unresolved``
+    when none was reached, ``fail`` otherwise; ``details`` maps each of these
+    to its detail text (default: the verdict's name)."""
+    if outcome.verdict is expected:
+        verdict = "pass"
+    elif outcome.verdict is Verdict.UNRESOLVED:
+        verdict = "unresolved"
+    else:
+        verdict = "fail"
+    return Finding(
+        subject=subject,
+        verdict=verdict,
+        detail=(details or {}).get(verdict, f"verdict {outcome.verdict.value}"),
+        data={"separation": f"{float(outcome.separation):.6e}"},
+    )
+
+
 # ----------------------------------------------------------------------
 # closed-form scans
 # ----------------------------------------------------------------------
@@ -188,12 +212,10 @@ def verify_repeated(
             index = (base,) * n
             computed = evaluate_spec(ValueSpec(index, 0), tolerance / 8, budget)
             w = base * n
-            if base == 2:
-                scale = Fraction(1, math.factorial(w) * 2 ** (2 * n))
-            elif base == 4:
-                scale = Fraction(1, math.factorial(w) * 2 ** (2 * n))
-            else:
+            if base == 6:
                 scale = Fraction(3, math.factorial(w) * 4)
+            else:
+                scale = Fraction(1, math.factorial(w) * 2 ** (2 * n))
             reference = pi.pow_int(w) * Enclosure.from_fraction(scale, bits)
             findings.append(
                 _overlap_finding(
@@ -419,19 +441,7 @@ def verify_monotonicity(
             left, right = ValueSpec(index, n), ValueSpec(index, n + 1)
             label = f"{index_str(index)} offset {n} vs {n + 1}"
         outcome = compare(left, right, budget)
-        verdict = (
-            "pass"
-            if outcome.verdict is Verdict.GREATER
-            else ("unresolved" if outcome.verdict is Verdict.UNRESOLVED else "fail")
-        )
-        findings.append(
-            Finding(
-                subject=label,
-                verdict=verdict,
-                detail=f"verdict {outcome.verdict.value}",
-                data={"separation": f"{float(outcome.separation):.6e}"},
-            )
-        )
+        findings.append(_comparison_finding(label, outcome, Verdict.GREATER))
     return ScanReport(
         "monotonicity",
         {"pair_count": pair_count, "weight_max": weight_max, "seed": seed},
@@ -478,19 +488,8 @@ def verify_chain(
     ]
     for (left_label, left), (right_label, right) in zip(chain, chain[1:]):
         outcome = compare(left, right, budget)
-        verdict = (
-            "pass"
-            if outcome.verdict is Verdict.GREATER
-            else ("unresolved" if outcome.verdict is Verdict.UNRESOLVED else "fail")
-        )
-        findings.append(
-            Finding(
-                subject=f"{left_label} > {right_label}",
-                verdict=verdict,
-                detail=f"verdict {outcome.verdict.value}",
-                data={"separation": f"{float(outcome.separation):.6e}"},
-            )
-        )
+        subject = f"{left_label} > {right_label}"
+        findings.append(_comparison_finding(subject, outcome, Verdict.GREATER))
     return ScanReport(
         "descending-chain",
         {"block_count": block_count, "per_block": per_block},
@@ -600,18 +599,16 @@ def scan_p_sets(
         for n in range(1, n_max + 1):
             member = source + (n,)
             outcome = compare(ValueSpec(member, 0), upper, budget)
-            if outcome.verdict is Verdict.LESS:
-                verdict, detail = "pass", "stays below the previous band"
-            elif outcome.verdict is Verdict.GREATER:
-                verdict, detail = "fail", "reaches the previous band"
-            else:
-                verdict, detail = "unresolved", "not separable from the previous band"
             findings.append(
-                Finding(
-                    subject=f"rank {r}, member {index_str(member)}",
-                    verdict=verdict,
-                    detail=detail,
-                    data={"separation": f"{float(outcome.separation):.6e}"},
+                _comparison_finding(
+                    f"rank {r}, member {index_str(member)}",
+                    outcome,
+                    Verdict.LESS,
+                    {
+                        "pass": "stays below the previous band",
+                        "fail": "reaches the previous band",
+                        "unresolved": "not separable from the previous band",
+                    },
                 )
             )
     return ScanReport(
@@ -774,6 +771,12 @@ def check_phi_conjecture(
                         - Fraction(1, 2**40),
                         budget,
                     )
+                    own = [idx for idx, _ in own_members]
+                    if member not in own:
+                        raise BudgetExceededError(
+                            "band prefix did not recover the member itself"
+                        )
+                    position = own.index(member) + 1
                 except (ValueError, UnresolvedComparisonError, BudgetExceededError) as exc:
                     findings.append(
                         Finding(
@@ -783,9 +786,6 @@ def check_phi_conjecture(
                         )
                     )
                     continue
-                position = {idx: i + 1 for i, (idx, _) in enumerate(own_members)}.get(
-                    member
-                )
             actual = (band, position)
             if len(k) == 0:
                 expected = (1, n - 1)

@@ -220,3 +220,22 @@ def test_scan_pairing_writes_report(tmp_path, capsys):
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--index", "2", "--tail", "-1"),
+        ("eval", "--index", "2", "--digits", "-3"),
+        ("beta", "--count", "0"),
+        ("scan", "--kind", "p-sets", "--rank-max", "0"),
+        ("compare", "--a", "2", "--b", "3", "--budget-bits", "8"),
+        ("chain", "--blocks", "0"),
+        ("verify", "--suite", "limits", "--nmax", "-1"),
+    ],
+)
+def test_out_of_range_numeric_argument_exits_invalid(argv, cache_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == INVALID
+    assert "error:" in capsys.readouterr().err

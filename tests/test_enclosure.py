@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvals.enclosure import Enclosure, RoundingError, halving_refinements
+from tvals.enclosure import Enclosure, RoundingError
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
@@ -166,13 +166,6 @@ def test_intersect_requires_overlap():
 def test_empty_interval_rejected():
     with pytest.raises(RoundingError):
         Enclosure.from_fraction_pair(2, 1, 64)
-
-
-def test_halving_refinements_descend_to_floor():
-    widths = list(halving_refinements(Fraction(1, 4), Fraction(1, 100)))
-    assert widths[0] == Fraction(1, 4)
-    assert all(b == a / 2 for a, b in zip(widths, widths[1:]))
-    assert widths[-1] >= Fraction(1, 100) > widths[-1] / 2
 
 
 @settings(max_examples=40)

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from tvals.enclosure import Enclosure
 from tvals.errors import DivergentError
+from tvals.evaluator import odd_power_tail
 from tvals.numerics import (
     PrecisionBudget,
     bernoulli_fraction,
     const_catalan,
     const_pi,
     euler_int,
-    odd_power_tail,
 )
 
 # 50-digit published values (frozen oracles)
@@ -116,6 +116,18 @@ def test_odd_power_tail_bracketed_by_first_term(k, cutoff):
     # crude integral envelope: the whole tail is below first * (2n+1)/(2(k-1))
     envelope = first * Fraction(2 * cutoff + 3, 2 * (k - 1))
     assert tail.lo_fraction < first * 2 + envelope
+
+
+def test_odd_power_tail_at_high_precision():
+    # a float root in the seed planner overflowed here at 512 bits
+    fine = odd_power_tail(3, 0, 512)
+    assert fine.is_positive()
+    assert fine.width() <= Fraction(1, 2**500)
+    assert fine.overlaps(odd_power_tail(3, 0, 128))
+    tail = odd_power_tail(2, 0, 960)
+    pi = const_pi(1024)
+    reference = pi.pow_int(2) * Enclosure.from_fraction(Fraction(1, 8), 1024)
+    assert tail.overlaps(reference)
 
 
 def test_odd_power_tail_rejects_divergent_exponent():

@@ -7,6 +7,7 @@ pairs are drawn), so identical calls must reproduce identical reports.
 
 from fractions import Fraction
 
+from tvals import verify
 from tvals.verify import (
     Finding,
     ScanReport,
@@ -114,6 +115,23 @@ def test_pairing_records_band_escape():
     escape = fails["2,1,1,1"]
     assert "(5, 1)" in escape.detail and "(4, 1)" in escape.detail
     assert escape.data.get("agrees_b") is False or "reading_b" in escape.data
+
+
+def test_pairing_unplaceable_member_is_unresolved(monkeypatch):
+    # a member missing from its band's enumerated prefix has no certified
+    # position, so it must not be scored as a counterexample
+    true_band_of_value = verify.band_of_value
+
+    def shifted_band_of_value(index, budget=None):
+        band = true_band_of_value(index, budget)
+        return band + 1 if index == (2, 1, 1, 1) else band
+
+    monkeypatch.setattr(verify, "band_of_value", shifted_band_of_value)
+    report = check_phi_conjecture(weight_max=4, n_max=1)
+    (member,) = [f for f in report.findings if f.subject == "2,1,1,1"]
+    assert member.verdict == "unresolved"
+    assert "could not place within band 5" in member.detail
+    assert all(f.data["actual"][1] is not None for f in report.findings if "actual" in f.data)
 
 
 def test_pairing_scan_is_replayable():
