@@ -463,9 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--kind", choices=("p-sets", "collisions", "pairing"),
                         required=True)
     p_scan.add_argument("--rank-max", type=_int_at_least(1), default=3)
-    p_scan.add_argument("--weight-max", type=int, default=4)
+    p_scan.add_argument("--weight-max", type=_int_at_least(0), default=4)
     p_scan.add_argument("--nmax", type=_int_at_least(1), default=None)
-    p_scan.add_argument("--total-max", type=int, default=None)
+    p_scan.add_argument("--total-max", type=_int_at_least(0), default=None)
     add_common(p_scan)
     add_report(p_scan)
     p_scan.set_defaults(func=_cmd_scan)

@@ -177,13 +177,6 @@ class Enclosure:
 
     # ------------------------------------------------------------------
     # arithmetic
-    @property
-    def raw_bounds(self) -> tuple:
-        """The raw ``mpmath.libmp`` endpoint tuples ``(lo, hi)`` — for hot
-        loops that run directed primitives directly and rebuild an
-        :class:`Enclosure` at the end."""
-        return self._lo, self._hi
-
     # ------------------------------------------------------------------
     def _join_prec(self, other: "Enclosure") -> int:
         return max(self.precision_bits, other.precision_bits)

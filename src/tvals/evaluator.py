@@ -7,8 +7,10 @@ Two independent evaluators are provided:
   ``w = 1/(2n+1)``, seeds all prefixes at a large offset where the expansion
   remainder is provably small, and walks the exact tail recurrence
   ``t(k)_n = t(k)_{n+1} + (2n+1)^(-k_d) * t(k_1..k_{d-1})_{n+1}`` downward in
-  outward-rounded interval arithmetic.  A precision ladder retries with more
-  bits and higher expansion order until the requested width is met.
+  scaled-integer fixed point, flooring lower and ceiling upper endpoints.
+  A planner picks the expansion order and seed offset by pricing the
+  recurrence steps against the cost of building the expansions, and a
+  precision ladder retries with more bits until the requested width is met.
 * :func:`evaluate_direct` — the reference oracle.  It sums the defining
   nested series directly in scaled-integer fixed point with directed
   rounding and adds an explicit rational over-estimate of the discarded
@@ -30,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from mpmath import libmp
-
 from .enclosure import Enclosure
 from .errors import BudgetExceededError, DivergentError
 from .indices import MultiIndex, ValueSpec
@@ -40,7 +40,6 @@ from .numerics import (
     PrecisionBudget,
     base_expansion,
     evaluate_expansion,
-    expansion_remainder_bound,
 )
 
 __all__ = [
@@ -174,15 +173,34 @@ def _kth_root_ceil(x: int, k: int) -> int:
 
 
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+_MAX_STEPS = 20_000
+# Cost of building the expansions of one order, per order**3, in units of
+# one recurrence step of one prefix.  Measured cold on CPython: building
+# every prefix of a depth-2 to depth-4 index takes 1-4 units per order**3
+# at 512 bits, and the depth-1 expansions are charged the same so that a
+# cheap base expansion never pulls in Bernoulli numbers of a high order.
+_BUILD_COST = 2
 
 
 def _plan(index: MultiIndex, offset: int, tau: Fraction) -> tuple[int, int]:
     """Choose expansion order and seed offset for an analytic error near
-    ``tau/4``.  Heuristic only: the returned enclosure certifies itself."""
+    ``tau/4``.  Heuristic only: the returned enclosure certifies itself.
+
+    A plan costs ``d * steps`` recurrence steps plus ``_BUILD_COST *
+    order**3`` for building its expansions.  Orders are priced upward and
+    the walk stops before building one whose build alone costs more than
+    the best plan so far.  A plan within ``_MAX_STEPS`` steps is feasible;
+    if none is, the priced plan with the fewest steps runs ``_MAX_STEPS``
+    steps and the width check decides.
+    """
     d = len(index)
     margin = Fraction(6) ** d  # headroom for error growth in the recurrence
-    best: Optional[tuple[int, int, int]] = None  # (cost, order, seed)
+    best: Optional[tuple[int, int, int]] = None  # (cost, order, seed), feasible
+    nearest: Optional[tuple[int, int]] = None  # (seed, order), fewest steps
     for order in _ORDER_SCHEDULE:
+        build = _BUILD_COST * order**3
+        if best is not None and build >= best[0]:
+            break
         total_bound = Fraction(0)
         for i in range(1, d + 1):
             total_bound += prefix_expansion(index[:i], order)[1]
@@ -192,28 +210,16 @@ def _plan(index: MultiIndex, offset: int, tau: Fraction) -> tuple[int, int]:
         seed = max(1, offset, root // 2)
         while (2 * seed + 1) ** (order + 1) < ratio_int:
             seed += 1
-        steps = seed - offset
-        if steps > 20_000:
+        if nearest is None or seed < nearest[0]:
+            nearest = (seed, order)
+        if seed - offset > _MAX_STEPS:
             continue
-        cost = d * steps + d * order * order // 4
+        cost = d * (seed - offset) + build
         if best is None or cost < best[0]:
             best = (cost, order, seed)
-        if steps <= 3 * order + 32:
-            break
     if best is None:
-        # fall back to the heaviest schedule entry; the width check decides
-        return _ORDER_SCHEDULE[-1], max(1, offset) + 20_000
+        return nearest[1], offset + _MAX_STEPS
     return best[1], best[2]
-
-
-@lru_cache(maxsize=65536)
-def _term_raw(odd: int, exponent: int, wp: int) -> tuple:
-    """Directed-rounded raw pair enclosing ``odd**(-exponent)``."""
-    denominator = libmp.from_int(odd**exponent)
-    return (
-        libmp.mpf_div(libmp.fone, denominator, wp, "f"),
-        libmp.mpf_div(libmp.fone, denominator, wp, "c"),
-    )
 
 
 def _evaluate_at(
@@ -221,43 +227,36 @@ def _evaluate_at(
 ) -> Enclosure:
     """Seed every prefix at ``seed`` and run the exact recurrence down.
 
-    The inner loop works on raw endpoint tuples with directed rounding.
-    Every quantity involved is nonnegative (the seeds' lower bounds are
-    clamped at zero, which is sound because the true values are positive
-    sums), so lower bounds combine with downward rounding and upper bounds
-    with upward rounding, endpoint by endpoint.
+    The loop runs in scaled-integer fixed point at scale ``2**wp``: each
+    prefix carries an integer lower and upper endpoint.  Every quantity
+    involved is nonnegative (the seeds' lower endpoints are clamped at
+    zero, which is sound because the true values are positive sums), so a
+    step is one floor division for the lower endpoint and one ceiling
+    division for the upper, each off by less than one unit in the
+    direction that keeps the enclosure.
     """
-    d = len(index)
-    seeds: list[Enclosure] = []
-    for i in range(1, d + 1):
+    wp = bits + _GUARD_BITS
+    one = 1 << wp
+    # level 0 is the empty prefix, the constant 1
+    los = [one]
+    his = [one]
+    for i in range(1, len(index) + 1):
         coeffs, bound = prefix_expansion(index[:i], order)
-        seeds.append(evaluate_expansion(coeffs, bound, order, seed, bits))
-    wp = seeds[0].precision_bits
-    los = []
-    his = []
-    for enclosure in seeds:
-        lo, hi = enclosure.raw_bounds
-        if lo[0] == 1:
-            lo = libmp.fzero
-        los.append(lo)
-        his.append(hi)
-    mpf_add, mpf_mul = libmp.mpf_add, libmp.mpf_mul
-    exponents = list(index)
+        enclosure = evaluate_expansion(coeffs, bound, order, seed, bits)
+        lo = enclosure.lo_fraction * one
+        hi = enclosure.hi_fraction * one
+        los.append(max(0, lo.numerator // lo.denominator))
+        his.append(-((-hi.numerator) // hi.denominator))
+    levels = range(len(index), 0, -1)  # deepest first: each reads step j+1
     for j in range(seed - 1, offset - 1, -1):
         odd = 2 * j + 1
-        new_los = []
-        new_his = []
-        for i in range(d):
-            t_lo, t_hi = _term_raw(odd, exponents[i], wp)
-            if i == 0:
-                add_lo, add_hi = t_lo, t_hi
-            else:
-                add_lo = mpf_mul(t_lo, los[i - 1], wp, "f")
-                add_hi = mpf_mul(t_hi, his[i - 1], wp, "c")
-            new_los.append(mpf_add(los[i], add_lo, wp, "f"))
-            new_his.append(mpf_add(his[i], add_hi, wp, "c"))
-        los, his = new_los, new_his
-    return Enclosure(los[-1], his[-1], wp)
+        for i in levels:
+            p = odd ** index[i - 1]
+            los[i] += los[i - 1] // p
+            his[i] += -((-his[i - 1]) // p)
+    return Enclosure.from_fraction_pair(
+        Fraction(los[-1], one), Fraction(his[-1], one), wp
+    )
 
 
 def _narrower(a: Optional[Enclosure], b: Enclosure) -> Enclosure:

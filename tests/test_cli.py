@@ -232,6 +232,8 @@ def test_unknown_subcommand_exits_nonzero(capsys):
         ("compare", "--a", "2", "--b", "3", "--budget-bits", "8"),
         ("chain", "--blocks", "0"),
         ("verify", "--suite", "limits", "--nmax", "-1"),
+        ("scan", "--kind", "collisions", "--weight-max", "-1"),
+        ("scan", "--kind", "pairing", "--total-max", "-2"),
     ],
 )
 def test_out_of_range_numeric_argument_exits_invalid(argv, cache_path, capsys):

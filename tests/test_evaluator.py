@@ -9,11 +9,18 @@ from fractions import Fraction
 
 import pytest
 
+from tvals import evaluator
 from tvals.enclosure import Enclosure
 from tvals.errors import BudgetExceededError, DivergentError
-from tvals.evaluator import EvalRequest, evaluate, evaluate_direct, evaluate_direct_many
+from tvals.evaluator import (
+    EvalRequest,
+    evaluate,
+    evaluate_direct,
+    evaluate_direct_many,
+    prefix_expansion,
+)
 from tvals.indices import ValueSpec
-from tvals.numerics import PrecisionBudget, const_pi
+from tvals.numerics import PrecisionBudget, const_pi, evaluate_expansion
 
 TIGHT = Fraction(1, 10**30)
 
@@ -148,3 +155,81 @@ def test_tail_offsets_decrease_toward_zero():
     for shallower, deeper in zip(values, values[1:]):
         assert deeper.hi_fraction < shallower.lo_fraction
     assert values[3].hi_fraction < Fraction(1, 20)
+
+
+# --- harmonic product (no closed forms) -------------------------------------
+
+STUFFLE_PAIRS = [(a, b) for a in range(2, 5) for b in range(a, 9 - a)]
+
+
+@pytest.mark.parametrize("a,b", STUFFLE_PAIRS, ids=str)
+def test_harmonic_product_at_high_precision(a, b):
+    # t(a) t(b) = t(a,b) + t(b,a) + t(a+b): splitting the double sum over
+    # distinct odd numbers by which one is larger, plus the diagonal
+    width = Fraction(1, 10**100)
+    product = enclosure_of([a], width=width) * enclosure_of([b], width=width)
+    stuffle = (
+        enclosure_of([a, b], width=width)
+        + enclosure_of([b, a], width=width)
+        + enclosure_of([a + b], width=width)
+    )
+    assert product.overlaps(stuffle)
+    assert stuffle.width() <= 3 * width
+
+
+# --- planner and recurrence -------------------------------------------------
+
+def test_plan_prices_the_expansion_build(monkeypatch):
+    # at 256 bits a depth-2 index needs neither an order above 32 nor
+    # building one to find that out
+    built = []
+
+    def recording(prefix, order):
+        built.append(order)
+        return prefix_expansion(prefix, order)
+
+    monkeypatch.setattr(evaluator, "prefix_expansion", recording)
+    order, seed = evaluator._plan((2, 3), 1, Fraction(1, 2**246))
+    assert order <= 32
+    assert 0 <= seed - 1 <= 20_000
+    assert max(built) <= 32
+
+
+def test_depth_four_at_width_1e_100():
+    fine = enclosure_of([2, 1, 1, 1], width=Fraction(1, 10**100))
+    assert fine.width() <= Fraction(1, 10**100)
+    assert fine.overlaps(enclosure_of([2, 1, 1, 1]))
+    assert_contains_decimal(fine, FROZEN[((2, 1, 1, 1), 0)])
+
+
+@pytest.mark.parametrize("index,offset", [((2,), 0), ((3, 1, 2), 0), ((2, 1, 1), 3)])
+def test_recurrence_rounds_outward(index, offset):
+    # the fixed-point loop against the same recurrence in exact rationals,
+    # started from the same seed enclosures
+    bits, order, seed = 64, 8, 40
+    got = evaluator._evaluate_at(index, offset, bits, order, seed)
+    los, his = [Fraction(1)], [Fraction(1)]
+    for i in range(1, len(index) + 1):
+        coeffs, bound = prefix_expansion(index[:i], order)
+        start = evaluate_expansion(coeffs, bound, order, seed, bits)
+        los.append(max(Fraction(0), start.lo_fraction))
+        his.append(start.hi_fraction)
+    for j in range(seed - 1, offset - 1, -1):
+        for i in range(len(index), 0, -1):
+            power = (2 * j + 1) ** index[i - 1]
+            los[i] += los[i - 1] / power
+            his[i] += his[i - 1] / power
+    assert got.lo_fraction <= los[-1]
+    assert got.hi_fraction >= his[-1]
+    assert got.width() - (his[-1] - los[-1]) < Fraction(1, 2**bits)
+
+
+@pytest.mark.parametrize("index", [(2, 2), (2, 1, 1), (3, 1, 2), (4, 1)])
+def test_expansion_remainder_encloses_tail_at_low_order(index):
+    # at low order and the smallest offsets the remainder term carries the
+    # enclosure, so a remainder bound that is too small shows here
+    for n in (1, 2):
+        truth = enclosure_of(index, offset=n)
+        for order in (2, 3, 4, 6, 8):
+            coeffs, bound = prefix_expansion(index, order)
+            assert evaluate_expansion(coeffs, bound, order, n, 128).overlaps(truth)
