@@ -10,10 +10,12 @@ uniform exit codes:
 
 The cache is an append-only UTF-8 file of one JSON record per line.
 Records carry outward-rounded decimal endpoint strings — never binary
-floats — so a cache hit reproduces an enclosure guaranteed to contain the
-exact value.  Appends take an advisory file lock, so concurrent writers
-interleave whole records.  The path comes from ``--cache``, the ``TV_CACHE``
-environment variable, or ``~/.cache/tv/enclosures.jsonl`` in that order.
+floats.  A record is used only if it overlaps a fresh enclosure of the
+value at width ``2**-48``; a record that misses the value is skipped with a
+warning, like a corrupt line.  Appends take an advisory file lock, so
+concurrent writers interleave whole records.  The path comes from
+``--cache``, the ``TV_CACHE`` environment variable, or
+``~/.cache/tv/enclosures.jsonl`` in that order.
 """
 
 from __future__ import annotations
@@ -106,10 +108,13 @@ def cache_lookup(
     path: Path, spec: ValueSpec, min_precision: int
 ) -> Optional[tuple[CacheRecord, Enclosure]]:
     """Narrowest cached enclosure for ``spec`` with at least ``min_precision``
-    recorded bits; corrupted lines are skipped with a warning, never fatal."""
+    recorded bits.  Corrupt lines, and records disjoint from a fresh
+    enclosure of the value at width ``2**-48``, are skipped with a warning,
+    never fatal."""
     if not path.exists():
         return None
     best: Optional[tuple[CacheRecord, Enclosure]] = None
+    reference: Optional[Enclosure] = None
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -121,15 +126,19 @@ def cache_lookup(
             payload = json.loads(line)
             record = CacheRecord(**payload)
             enclosure = record.to_enclosure()
+            if tuple(record.index) != spec.index or record.tail_offset != spec.tail_offset:
+                continue
+            if record.precision_bits < min_precision:
+                continue
+            if reference is None:
+                reference = evaluate_spec(spec, Fraction(1, 2**48))
+            if not enclosure.overlaps(reference):
+                raise ValueError(f"[{record.lo}, {record.hi}] misses the value of {spec}")
         except (ValueError, TypeError, KeyError) as exc:
             print(
                 f"warning: skipping corrupt cache line {lineno} in {path}: {exc}",
                 file=sys.stderr,
             )
-            continue
-        if tuple(record.index) != spec.index or record.tail_offset != spec.tail_offset:
-            continue
-        if record.precision_bits < min_precision:
             continue
         if best is None or enclosure.width() < best[1].width():
             best = (record, enclosure)
@@ -214,12 +223,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     digits = args.digits
     min_bits = int(digits * 3.33) + 8
     cache_path = _cache_path_from(args)
-    if cache_path is not None:
-        hit = cache_lookup(cache_path, spec, min_bits)
-        if hit is not None and hit[1].width() <= Fraction(1, 10**digits):
-            lo, hi = hit[1].decimal_strings(digits)
-            print(f"{spec}  in  [{lo}, {hi}]  (cached, {hit[0].method})")
-            return EXIT_OK
+    # one read serves both the hit check and the intersection below
+    prior = cache_lookup(cache_path, spec, 2) if cache_path is not None else None
+    if (
+        prior is not None
+        and prior[0].precision_bits >= min_bits
+        and prior[1].width() <= Fraction(1, 10**digits)
+    ):
+        lo, hi = prior[1].decimal_strings(digits)
+        print(f"{spec}  in  [{lo}, {hi}]  (cached, {prior[0].method})")
+        return EXIT_OK
     target = Fraction(1, 10 ** (digits + 2))
     budget = _budget_from(args)
     exit_code = EXIT_OK
@@ -238,7 +251,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         enclosure = exc.partial
         exit_code = EXIT_UNRESOLVED
     if cache_path is not None:
-        prior = cache_lookup(cache_path, spec, 2)
         if prior is not None and enclosure.overlaps(prior[1]):
             # intersecting with earlier records keeps successive cached
             # enclosures nested while still containing the exact value

@@ -1,64 +1,64 @@
-"""Outward-rounded interval arithmetic on arbitrary-precision binary floats.
+"""Outward-rounded interval arithmetic on exact dyadic endpoints.
 
-An :class:`Enclosure` is an immutable pair ``lo <= hi`` of arbitrary-precision
-dyadic floats together with the working precision that produced it.  Every
-arithmetic operation rounds the lower endpoint toward minus infinity and the
-upper endpoint toward plus infinity, so the result is guaranteed to contain
-the exact image of the operand intervals.  The rounding drift per primitive
-operation is at most one unit in the last place at the recorded precision.
+An :class:`Enclosure` is an immutable pair ``lo <= hi`` of exact dyadic
+rationals (held as :class:`~fractions.Fraction`) together with the working
+precision that produced it.  Every arithmetic operation computes its exact
+result on the endpoints and rounds it once, through :func:`_round`, to at
+most ``precision_bits`` significant bits: the lower endpoint toward minus
+infinity and the upper endpoint toward plus infinity.  The result therefore
+contains the exact image of the operand intervals, and each endpoint is the
+nearest such dyadic, so the drift per primitive operation is at most one
+unit in the last place at the recorded precision.
 
-The endpoint arithmetic is delegated to :mod:`mpmath.libmp`, which provides
-correctly rounded basic operations with directed rounding modes.  All state
-is carried in the instances; the module holds no mutable globals, so every
-function here is safe to call concurrently.
+All state is carried in the instances; the module holds no mutable
+globals, so every function here is safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from mpmath import libmp
-
 __all__ = ["Enclosure", "RoundingError"]
-
-_DOWN = "f"  # toward minus infinity
-_UP = "c"  # toward plus infinity
-
-_SPECIAL_EXPS = (getattr(libmp, "finf", None), getattr(libmp, "fninf", None), getattr(libmp, "fnan", None))
 
 ScalarLike = Union[int, Fraction]
 
 
 class RoundingError(ArithmeticError):
     """Raised when an interval operation is undefined (e.g. division by an
-    interval containing zero) or when a non-finite endpoint would arise."""
+    interval containing zero) or would produce an empty interval."""
 
 
-def _raw_from_fraction(value: Fraction, prec: int, rnd: str):
-    return libmp.from_rational(value.numerator, value.denominator, prec, rnd)
+def _round(q: Fraction, prec: int, up: bool) -> Fraction:
+    """The dyadic rational with at most ``prec`` significant bits nearest to
+    ``q`` on its upper side (``up``) or its lower side."""
+    num, den = q.numerator, q.denominator
+    if num == 0:
+        return q
+    mag = -num if num < 0 else num
+    # mag * 2**shift / den lies in (2**(prec-1), 2**(prec+1))
+    shift = prec - mag.bit_length() + den.bit_length()
+    if shift >= 0:
+        man, rem = divmod(mag << shift, den)
+    else:
+        man, rem = divmod(mag, den << -shift)
+    if man.bit_length() > prec:
+        rem = rem or man & 1
+        man >>= 1
+        shift -= 1
+    if rem and up == (num > 0):
+        man += 1  # away from zero; 2**prec still has one significant bit
+    if num < 0:
+        man = -man
+    return Fraction(man, 1 << shift) if shift >= 0 else Fraction(man << -shift)
 
 
-def _raw_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite raw mpf tuple."""
-    if x in _SPECIAL_EXPS:
-        raise RoundingError("non-finite endpoint")
-    sign, man, exp, _ = x
-    if man == 0 and exp != 0:
-        raise RoundingError("non-finite endpoint")
-    mag = Fraction(int(man)) * (Fraction(2) ** exp)
-    return -mag if sign else mag
-
-
-def _cmp_raw_fraction(x, q: Fraction) -> int:
-    """Exact three-way comparison of a raw mpf endpoint with a rational."""
-    diff = _raw_to_fraction(x) - q
-    if diff < 0:
-        return -1
-    if diff > 0:
-        return 1
-    return 0
+def _outward(lo: Fraction, hi: Fraction, prec: int) -> "Enclosure":
+    """Enclosure of ``[lo, hi]`` with both endpoints rounded outward."""
+    return Enclosure(_round(lo, prec, False), _round(hi, prec, True), prec)
 
 
 class Enclosure:
@@ -71,14 +71,14 @@ class Enclosure:
 
     __slots__ = ("_lo", "_hi", "precision_bits")
 
-    def __init__(self, lo, hi, precision_bits: int):
+    def __init__(self, lo: Fraction, hi: Fraction, precision_bits: int):
         if precision_bits < 2:
             raise ValueError("precision_bits must be at least 2")
+        if lo > hi:
+            raise RoundingError("empty interval: lo > hi")
         self._lo = lo
         self._hi = hi
         self.precision_bits = precision_bits
-        if libmp.mpf_gt(lo, hi):
-            raise RoundingError("empty interval: lo > hi")
 
     # ------------------------------------------------------------------
     # construction
@@ -86,25 +86,20 @@ class Enclosure:
     @classmethod
     def from_fraction(cls, value: ScalarLike, precision_bits: int) -> "Enclosure":
         """Tightest representable interval around an exact rational."""
-        value = Fraction(value)
-        lo = _raw_from_fraction(value, precision_bits, _DOWN)
-        hi = _raw_from_fraction(value, precision_bits, _UP)
-        return cls(lo, hi, precision_bits)
+        return cls.from_fraction_pair(value, value, precision_bits)
 
     @classmethod
     def from_fraction_pair(
         cls, lo: ScalarLike, hi: ScalarLike, precision_bits: int
     ) -> "Enclosure":
         """Interval with rational endpoints, rounded outward."""
-        lo_f = _raw_from_fraction(Fraction(lo), precision_bits, _DOWN)
-        hi_f = _raw_from_fraction(Fraction(hi), precision_bits, _UP)
-        return cls(lo_f, hi_f, precision_bits)
+        return _outward(Fraction(lo), Fraction(hi), precision_bits)
 
     @classmethod
     def exact_int(cls, value: int, precision_bits: int = 8) -> "Enclosure":
         """Degenerate interval at an integer (exact at any precision)."""
-        raw = libmp.from_int(value)
-        return cls(raw, raw, max(precision_bits, value.bit_length() + 2))
+        exact = Fraction(value)
+        return cls(exact, exact, max(precision_bits, value.bit_length() + 2))
 
     @classmethod
     def from_decimal_strings(
@@ -120,59 +115,54 @@ class Enclosure:
     # ------------------------------------------------------------------
     @property
     def lo_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._lo)
+        return self._lo
 
     @property
     def hi_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._hi)
+        return self._hi
 
     def width(self) -> Fraction:
         """Exact width ``hi - lo``."""
-        return self.hi_fraction - self.lo_fraction
+        return self._hi - self._lo
 
     def midpoint(self) -> Fraction:
-        return (self.lo_fraction + self.hi_fraction) / 2
+        return (self._lo + self._hi) / 2
 
     def contains(self, value: Union[ScalarLike, "Enclosure"]) -> bool:
         if isinstance(value, Enclosure):
-            return (
-                _cmp_raw_fraction(self._lo, value.lo_fraction) <= 0
-                and _cmp_raw_fraction(self._hi, value.hi_fraction) >= 0
-            )
-        q = Fraction(value)
-        return _cmp_raw_fraction(self._lo, q) <= 0 and _cmp_raw_fraction(self._hi, q) >= 0
+            return self._lo <= value._lo and value._hi <= self._hi
+        return self._lo <= value <= self._hi
 
     def overlaps(self, other: "Enclosure") -> bool:
         return not (self.certified_lt(other) or other.certified_lt(self))
 
     def certified_lt(self, other: "Enclosure") -> bool:
         """True when every point of ``self`` is below every point of ``other``."""
-        return libmp.mpf_lt(self._hi, other._lo)
+        return self._hi < other._lo
 
     def certified_gt(self, other: "Enclosure") -> bool:
-        return libmp.mpf_gt(self._lo, other._hi)
+        return self._lo > other._hi
 
     def cmp_scalar(self, value: ScalarLike) -> int:
         """-1 if certainly below ``value``, +1 if certainly above, else 0."""
-        q = Fraction(value)
-        if _cmp_raw_fraction(self._hi, q) < 0:
+        if self._hi < value:
             return -1
-        if _cmp_raw_fraction(self._lo, q) > 0:
+        if self._lo > value:
             return 1
         return 0
 
     def is_positive(self) -> bool:
-        return libmp.mpf_gt(self._lo, libmp.fzero)
+        return self._lo > 0
 
     def is_negative(self) -> bool:
-        return libmp.mpf_lt(self._hi, libmp.fzero)
+        return self._hi < 0
 
     def separation(self, other: "Enclosure") -> Fraction:
         """Certified lower bound on ``|self - other|`` (zero when overlapping)."""
         if self.certified_lt(other):
-            return other.lo_fraction - self.hi_fraction
+            return other._lo - self._hi
         if other.certified_lt(self):
-            return self.lo_fraction - other.hi_fraction
+            return self._lo - other._hi
         return Fraction(0)
 
     # ------------------------------------------------------------------
@@ -182,66 +172,27 @@ class Enclosure:
         return max(self.precision_bits, other.precision_bits)
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
-        p = self._join_prec(other)
-        return Enclosure(
-            libmp.mpf_add(self._lo, other._lo, p, _DOWN),
-            libmp.mpf_add(self._hi, other._hi, p, _UP),
-            p,
-        )
+        return _outward(self._lo + other._lo, self._hi + other._hi, self._join_prec(other))
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
-        p = self._join_prec(other)
-        return Enclosure(
-            libmp.mpf_sub(self._lo, other._hi, p, _DOWN),
-            libmp.mpf_sub(self._hi, other._lo, p, _UP),
-            p,
-        )
+        return _outward(self._lo - other._hi, self._hi - other._lo, self._join_prec(other))
 
     def __neg__(self) -> "Enclosure":
-        return Enclosure(libmp.mpf_neg(self._hi), libmp.mpf_neg(self._lo), self.precision_bits)
+        return Enclosure(-self._hi, -self._lo, self.precision_bits)
 
     def __mul__(self, other: "Enclosure") -> "Enclosure":
-        p = self._join_prec(other)
-        # sign-determined cases avoid the four-corner scan (raw mpf sign
-        # field: 0 for >= 0, 1 for < 0)
-        if self._lo[0] == 0 and other._lo[0] == 0:
-            return Enclosure(
-                libmp.mpf_mul(self._lo, other._lo, p, _DOWN),
-                libmp.mpf_mul(self._hi, other._hi, p, _UP),
-                p,
-            )
-        if self._hi[0] == 1 and other._lo[0] == 0:
-            return Enclosure(
-                libmp.mpf_mul(self._lo, other._hi, p, _DOWN),
-                libmp.mpf_mul(self._hi, other._lo, p, _UP),
-                p,
-            )
-        if other._hi[0] == 1 and self._lo[0] == 0:
-            return Enclosure(
-                libmp.mpf_mul(self._hi, other._lo, p, _DOWN),
-                libmp.mpf_mul(self._lo, other._hi, p, _UP),
-                p,
-            )
-        return self._corner_hull(other, libmp.mpf_mul, p)
+        return self._corner_hull(other, operator.mul)
 
     def __truediv__(self, other: "Enclosure") -> "Enclosure":
         if not (other.is_positive() or other.is_negative()):
             raise RoundingError("division by an interval containing zero")
-        return self._corner_hull(other, libmp.mpf_div, self._join_prec(other))
+        return self._corner_hull(other, operator.truediv)
 
-    def _corner_hull(self, other: "Enclosure", op, p: int) -> "Enclosure":
-        """Outward hull of the directed-rounded ``op`` over the four
-        endpoint pairs (the image of a product or quotient of intervals)."""
-        lo = hi = None
-        for a in (self._lo, self._hi):
-            for b in (other._lo, other._hi):
-                down = op(a, b, p, _DOWN)
-                up = op(a, b, p, _UP)
-                if lo is None or libmp.mpf_lt(down, lo):
-                    lo = down
-                if hi is None or libmp.mpf_gt(up, hi):
-                    hi = up
-        return Enclosure(lo, hi, p)
+    def _corner_hull(self, other: "Enclosure", op) -> "Enclosure":
+        """Outward hull of the exact ``op`` over the four endpoint pairs
+        (the image of a product or quotient of intervals)."""
+        corners = [op(a, b) for a in (self._lo, self._hi) for b in (other._lo, other._hi)]
+        return _outward(min(corners), max(corners), self._join_prec(other))
 
     def pow_int(self, exponent: int) -> "Enclosure":
         """Integer power of the interval (image of the power map)."""
@@ -249,36 +200,16 @@ class Enclosure:
             return Enclosure.exact_int(1, self.precision_bits)
         if exponent < 0:
             return Enclosure.exact_int(1, self.precision_bits) / self.pow_int(-exponent)
-        p = self.precision_bits
-        lo_neg = libmp.mpf_lt(self._lo, libmp.fzero)
-        hi_pos = libmp.mpf_gt(self._hi, libmp.fzero)
-        if lo_neg and hi_pos and exponent % 2 == 0:
-            # straddles zero with an even exponent: minimum is zero
-            c1 = libmp.mpf_pow_int(self._lo, exponent, p, _UP)
-            c2 = libmp.mpf_pow_int(self._hi, exponent, p, _UP)
-            hi = c1 if libmp.mpf_gt(c1, c2) else c2
-            return Enclosure(libmp.fzero, hi, p)
-        if not lo_neg or exponent % 2 == 1:
-            # monotone increasing on the relevant range
-            return Enclosure(
-                libmp.mpf_pow_int(self._lo, exponent, p, _DOWN),
-                libmp.mpf_pow_int(self._hi, exponent, p, _UP),
-                p,
-            )
-        # entirely non-positive, even exponent: decreasing
-        return Enclosure(
-            libmp.mpf_pow_int(self._hi, exponent, p, _DOWN),
-            libmp.mpf_pow_int(self._lo, exponent, p, _UP),
-            p,
-        )
+        lo, hi = self._lo**exponent, self._hi**exponent
+        if exponent % 2 == 0 and self._lo < 0:
+            # an even power falls to zero where the interval reaches it
+            lo, hi = (Fraction(0) if self._hi > 0 else hi), max(lo, hi)
+        return _outward(lo, hi, self.precision_bits)
 
     def scale_pow2(self, shift: int) -> "Enclosure":
         """Exact multiplication by ``2**shift``."""
-        return Enclosure(
-            libmp.mpf_shift(self._lo, shift),
-            libmp.mpf_shift(self._hi, shift),
-            self.precision_bits,
-        )
+        factor = Fraction(2) ** shift
+        return Enclosure(self._lo * factor, self._hi * factor, self.precision_bits)
 
     def widen(self, radius: ScalarLike) -> "Enclosure":
         """Symmetric outward padding by a non-negative rational radius."""
@@ -287,34 +218,22 @@ class Enclosure:
             raise ValueError("radius must be non-negative")
         if r == 0:
             return self
-        p = self.precision_bits
-        rad_lo = _raw_from_fraction(r, p, _UP)
-        return Enclosure(
-            libmp.mpf_sub(self._lo, rad_lo, p, _DOWN),
-            libmp.mpf_add(self._hi, rad_lo, p, _UP),
-            p,
-        )
+        return _outward(self._lo - r, self._hi + r, self.precision_bits)
 
     def hull(self, other: "Enclosure") -> "Enclosure":
-        p = self._join_prec(other)
-        lo = self._lo if libmp.mpf_lt(self._lo, other._lo) else other._lo
-        hi = self._hi if libmp.mpf_gt(self._hi, other._hi) else other._hi
-        return Enclosure(lo, hi, p)
+        return Enclosure(
+            min(self._lo, other._lo), max(self._hi, other._hi), self._join_prec(other)
+        )
 
     def intersect(self, other: "Enclosure") -> "Enclosure":
         """Intersection; raises :class:`RoundingError` when disjoint."""
-        p = self._join_prec(other)
-        lo = self._lo if libmp.mpf_gt(self._lo, other._lo) else other._lo
-        hi = self._hi if libmp.mpf_lt(self._hi, other._hi) else other._hi
-        return Enclosure(lo, hi, p)
+        return Enclosure(
+            max(self._lo, other._lo), min(self._hi, other._hi), self._join_prec(other)
+        )
 
     def with_precision(self, precision_bits: int) -> "Enclosure":
         """Re-round the endpoints outward at a (usually lower) precision."""
-        return Enclosure(
-            libmp.mpf_pos(self._lo, precision_bits, _DOWN),
-            libmp.mpf_pos(self._hi, precision_bits, _UP),
-            precision_bits,
-        )
+        return _outward(self._lo, self._hi, precision_bits)
 
     # ------------------------------------------------------------------
     # rendering
@@ -327,13 +246,9 @@ class Enclosure:
         smallest not below ``hi``.
         """
         scale = 10**digits
-        lo_scaled = self.lo_fraction * scale
-        hi_scaled = self.hi_fraction * scale
-        lo_units = lo_scaled.numerator // lo_scaled.denominator
-        hi_units = -((-hi_scaled.numerator) // hi_scaled.denominator)
         return (
-            _format_scaled_decimal(lo_units, digits),
-            _format_scaled_decimal(hi_units, digits),
+            _format_scaled_decimal(math.floor(self._lo * scale), digits),
+            _format_scaled_decimal(math.ceil(self._hi * scale), digits),
         )
 
     def display(self, digits: int = 20) -> str:
@@ -341,10 +256,7 @@ class Enclosure:
         return f"[{lo_s}, {hi_s}]"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Enclosure({libmp.to_str(self._lo, 20)}, {libmp.to_str(self._hi, 20)}, "
-            f"bits={self.precision_bits})"
-        )
+        return f"Enclosure({self.display()}, bits={self.precision_bits})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Enclosure):

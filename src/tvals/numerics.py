@@ -277,13 +277,8 @@ def evaluate_expansion(
     precision_bits: int,
 ) -> Enclosure:
     """Enclose a ``w``-power expansion at ``w = 1/(2n+1)`` with its remainder."""
-    wp = precision_bits + _GUARD_BITS
-    w = Enclosure.from_fraction(Fraction(1, 2 * n + 1), wp)
-    acc = Enclosure.exact_int(0, wp)
-    prev_power = 0
-    w_pow = Enclosure.exact_int(1, wp)
-    for power, coeff in coefficients:
-        w_pow = w_pow * w.pow_int(power - prev_power)
-        prev_power = power
-        acc = acc + Enclosure.from_fraction(coeff, wp) * w_pow
-    return acc.widen(expansion_remainder_bound(bound, order, n))
+    w = Fraction(1, 2 * n + 1)
+    value = sum(coeff * w**power for power, coeff in coefficients)
+    return Enclosure.from_fraction(value, precision_bits + _GUARD_BITS).widen(
+        expansion_remainder_bound(bound, order, n)
+    )

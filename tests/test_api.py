@@ -1,4 +1,9 @@
-"""The public names of the package."""
+"""The public names of the package and what importing it pulls in."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import tvals
 
@@ -62,3 +67,25 @@ PUBLIC_NAMES = [
 def test_public_names_are_frozen():
     assert tvals.__all__ == PUBLIC_NAMES
     assert all(hasattr(tvals, name) for name in PUBLIC_NAMES)
+
+
+def test_runs_without_mpmath():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import tvals\n"
+        "spec = tvals.ValueSpec((2, 1), 0)\n"
+        "assert tvals.evaluate_spec(spec, Fraction(1, 10**20)).is_positive()\n"
+        "tvals.compare(spec, tvals.ValueSpec((3,), 0))\n"
+        "assert len(tvals.beta_table(4)) == 4\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = str(Path(tvals.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

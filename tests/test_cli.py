@@ -103,6 +103,41 @@ def test_corrupt_cache_lines_are_skipped(cache_path, capsys):
     assert "skipping corrupt cache line" in err
 
 
+def test_cache_record_that_misses_the_value_is_skipped(cache_path, capsys):
+    forged = {
+        "index": [2],
+        "tail_offset": 0,
+        "precision_bits": 200,
+        "lo": "2.5",
+        "hi": "2.5",
+        "method": "accelerated",
+        "created_at": "2020-01-01T00:00:00+00:00",
+    }
+    cache_path.write_text(json.dumps(forged) + "\n")
+    code, out, err = run(capsys, "eval", "--index", "2", "--digits", "10")
+    assert code == OK
+    assert "1.2337005501" in out
+    assert "(cached" not in out
+    assert "skipping corrupt cache line 1" in err
+
+
+def test_cache_is_read_once_per_miss(cache_path, capsys, monkeypatch):
+    from tvals import cli
+
+    run(capsys, "eval", "--index", "2", "--digits", "10")
+    calls = []
+    original = cli.cache_lookup
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "cache_lookup", counting)
+    code, out, _ = run(capsys, "eval", "--index", "2", "--digits", "25")
+    assert code == OK and "(cached" not in out
+    assert len(calls) == 1
+
+
 def test_no_cache_flag_leaves_no_file(cache_path, capsys):
     code, _, _ = run(capsys, "eval", "--index", "2", "--no-cache")
     assert code == OK

@@ -1,5 +1,6 @@
 """Containment and outward-rounding laws of the interval type."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,58 @@ def test_arithmetic_chain_containment(a, b, c):
     ec = Enclosure.from_fraction(c, 128)
     chained = (ea + eb) * ec - ea
     assert chained.contains((a + b) * c - a)
+
+
+def _significant_bits(e: Fraction) -> int:
+    man = abs(e.numerator)
+    if man == 0:
+        return 0
+    return (man >> ((man & -man).bit_length() - 1)).bit_length()
+
+
+def _neighbours(e: Fraction, p: int) -> tuple[Fraction, Fraction]:
+    """The dyadics with at most ``p`` significant bits just below and just
+    above the nonzero dyadic ``e``."""
+    man, exp = abs(e.numerator), -(e.denominator.bit_length() - 1)
+    zeros = (man & -man).bit_length() - 1
+    man, exp = man >> zeros, exp + zeros
+    while man.bit_length() < p:
+        man, exp = man << 1, exp - 1
+    away = Fraction(man + 1) * Fraction(2) ** exp
+    toward = Fraction(2 * man - 1 if man == 1 << (p - 1) else 2 * man - 2) * Fraction(2) ** (exp - 1)
+    return (-away, -toward) if e < 0 else (toward, away)
+
+
+def _assert_tight(enclosure: Enclosure, exact_lo: Fraction, exact_hi: Fraction, p: int):
+    lo, hi = enclosure.lo_fraction, enclosure.hi_fraction
+    for endpoint in (lo, hi):
+        assert endpoint.denominator & (endpoint.denominator - 1) == 0  # dyadic
+        assert _significant_bits(endpoint) <= p
+    assert lo <= exact_lo and hi >= exact_hi
+    # no p-bit dyadic fits between an endpoint and the exact value (dyadics
+    # accumulate at zero, so an inexact endpoint is never zero)
+    assert lo == exact_lo or (lo != 0 and _neighbours(lo, p)[1] > exact_lo)
+    assert hi == exact_hi or (hi != 0 and _neighbours(hi, p)[0] < exact_hi)
+
+
+@given(rationals, st.integers(min_value=2, max_value=192))
+def test_from_fraction_rounds_to_the_nearest_outward_dyadic(q, bits):
+    _assert_tight(Enclosure.from_fraction(q, bits), q, q, bits)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv]
+)
+@given(a=rationals, b=nonzero_rationals, bits=st.integers(min_value=2, max_value=192),
+       widen=st.booleans())
+def test_arithmetic_rounds_to_the_nearest_outward_dyadic(op, a, b, bits, widen):
+    left = Enclosure.from_fraction(a, bits)
+    right = Enclosure.from_fraction(b, bits + 17 if widen else bits)
+    corners = [
+        op(x, y)
+        for x in (left.lo_fraction, left.hi_fraction)
+        for y in (right.lo_fraction, right.hi_fraction)
+    ]
+    result = op(left, right)
+    assert result.precision_bits == right.precision_bits
+    _assert_tight(result, min(corners), max(corners), result.precision_bits)
