@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, DivergentError, UnresolvedComparisonError
 from .evaluator import evaluate_direct, evaluate_spec
 from .indices import IndexParseError, ValueSpec, index_str, parse_index, parse_value_spec
@@ -261,7 +261,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"{spec}  in  [{lo}, {hi}]")
     if exit_code == EXIT_UNRESOLVED:
         print(
-            f"warning: width {float(enclosure.width()):.3e} misses the "
+            f"warning: width {_format_sci(enclosure.width())} misses the "
             f"requested {digits} digits (budget exceeded)",
             file=sys.stderr,
         )

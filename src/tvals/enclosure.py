@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal
+import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -271,6 +272,21 @@ class Enclosure:
         return hash((self._lo, self._hi, self.precision_bits))
 
 
+# below the smallest int-to-str limit Python accepts (640 digits), so long
+# decimals never depend on ``sys.set_int_max_str_digits``
+_STR_CHUNK = 512
+
+
+def _zero_padded(value: int, width: int) -> str:
+    """``value`` (``0 <= value < 10**width``) as exactly ``width`` digits,
+    converted in chunks below the int-to-str limit."""
+    if width <= _STR_CHUNK:
+        return f"{value:0{width}d}"
+    low_width = width // 2
+    high, low = divmod(value, 10**low_width)
+    return _zero_padded(high, width - low_width) + _zero_padded(low, low_width)
+
+
 def _format_scaled_decimal(units: int, digits: int) -> str:
     """Render ``units / 10**digits`` as a plain decimal string."""
     sign = "-" if units < 0 else ""
@@ -278,5 +294,16 @@ def _format_scaled_decimal(units: int, digits: int) -> str:
     if digits == 0:
         return f"{sign}{units}"
     whole, frac = divmod(units, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{_zero_padded(frac, digits)}"
 
+
+def _format_sci(x: Fraction) -> str:
+    """``x > 0`` in ``%.3e`` form, also where ``float(x)`` underflows.
+
+    Where the float is normal this is the float's own text; below that the
+    four significant digits are the exact quotient rounded half-even.
+    """
+    if x >= Fraction(sys.float_info.min):
+        return f"{float(x):.3e}"
+    quotient = Context(prec=4).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return f"{quotient:.3e}"

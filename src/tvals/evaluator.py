@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, DivergentError
 from .indices import MultiIndex, ValueSpec
 from .numerics import (
@@ -104,8 +104,15 @@ def _step_expansion(
     Valid for every ``n >= 1``.  Uses the partial-fraction split per power,
     the exact telescoping of the cancelling order-one poles, and the exact
     identity ``sum_{j>n} (2j+1)**(-i) = T_i(n) - w**i``.
+
+    The map is linear in the input coefficients, so the ``T_i`` terms are
+    gathered per pole order ``i`` (``weight[i]`` for the coefficients,
+    ``mass[i]`` for the bound) and each ``base_expansion(i)`` is added once,
+    which keeps the exact work at O(order**2).
     """
     new: dict[int, Fraction] = {}
+    weight: dict[int, Fraction] = {}
+    mass: dict[int, Fraction] = {}
     # the summand's own remainder, summed over j > n
     new_bound = Fraction(3, 2) / Fraction(3 ** (s - 1)) * bound
     for q, d in coeffs:
@@ -128,10 +135,14 @@ def _step_expansion(
                     3 ** (i - 1 - (order + 1))
                 )
                 continue
-            base_coeffs, base_bound = base_expansion(i, order)
-            for p, v in base_coeffs:
-                new[p] = new.get(p, Fraction(0)) + d * c * v
-            new_bound += abs(d * c) * base_bound
+            dc = d * c
+            weight[i] = weight.get(i, Fraction(0)) + dc
+            mass[i] = mass.get(i, Fraction(0)) + abs(dc)
+    for i, e in weight.items():
+        base_coeffs, base_bound = base_expansion(i, order)
+        for p, v in base_coeffs:
+            new[p] = new.get(p, Fraction(0)) + e * v
+        new_bound += mass[i] * base_bound
     cleaned = tuple(sorted((p, v) for p, v in new.items() if v != 0))
     return cleaned, new_bound
 
@@ -175,10 +186,14 @@ def _kth_root_ceil(x: int, k: int) -> int:
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_STEPS = 20_000
 # Cost of building the expansions of one order, per order**3, in units of
-# one recurrence step of one prefix.  Measured cold on CPython: building
-# every prefix of a depth-2 to depth-4 index takes 1-4 units per order**3
-# at 512 bits, and the depth-1 expansions are charged the same so that a
-# cheap base expansion never pulls in Bernoulli numbers of a high order.
+# one recurrence step of one prefix at 512 bits.  Measured cold on CPython
+# 3.11 (2 vCPU), building every prefix of a depth-2 to depth-4 index takes
+# 0.5-2.8 units per order**3 at orders 16-32 and 0.1-0.6 at orders 64-128,
+# about 11-55 units per order**2.  The cubic charge is kept: ``48 *
+# order**2`` chooses the same plans at widths 1e-30 to 1e-300, and ``16 *
+# order**2`` moves 1e-30 and 1e-100 to higher orders that run slower.  The
+# depth-1 expansions are charged the same so that a cheap base expansion
+# never pulls in Bernoulli numbers of a high order.
 _BUILD_COST = 2
 
 
@@ -287,8 +302,8 @@ def _evaluate_cached(
         if best.width() <= target_width:
             return best
     raise BudgetExceededError(
-        f"width {float(best.width()):.3e} above target "
-        f"{float(target_width):.3e} for {ValueSpec(index, offset)} "
+        f"width {_format_sci(best.width())} above target "
+        f"{_format_sci(target_width)} for {ValueSpec(index, offset)} "
         f"at {attempts[-1]} bits",
         partial=best,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and the enclosure cache."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,28 @@ def test_cache_is_read_once_per_miss(cache_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "eval", "--index", "2", "--digits", "25")
     assert code == OK and "(cached" not in out
     assert len(calls) == 1
+
+
+def test_budget_warning_prints_a_width_below_the_float_range(cache_path, capsys):
+    code, out, err = run(capsys, "eval", "--index", "2", "--digits", "1000")
+    assert code == UNRESOLVED
+    assert out.startswith("2  in  [1.2337005501361698")
+    match = re.search(r"warning: width \d\.\d{3}e-(\d+) misses the requested 1000 digits", err)
+    assert match is not None, err
+    assert int(match.group(1)) > 700
+
+
+def test_eval_digits_beyond_the_int_str_limit(cache_path, capsys):
+    # 5000 digits exceed the 4096-bit budget and Python's 4,300-digit
+    # int-to-str limit; the second run reads the 5006-digit cache record back
+    for _ in range(2):
+        code, out, err = run(capsys, "eval", "--index", "2", "--digits", "5000")
+        assert code == UNRESOLVED
+        lo, hi = re.fullmatch(r"2  in  \[(\S+), (\S+)\]\n", out).groups()
+        assert len(lo) == len(hi) == 5002
+        assert lo.startswith("1.2337005501361698") and lo < hi
+        assert "misses the requested 5000 digits" in err
+        assert "Traceback" not in err and "skipping" not in err
 
 
 def test_no_cache_flag_leaves_no_file(cache_path, capsys):

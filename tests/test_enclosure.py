@@ -1,12 +1,15 @@
 """Containment and outward-rounding laws of the interval type."""
 
+import math
 import operator
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvals.enclosure import Enclosure, RoundingError
+from tvals.enclosure import Enclosure, RoundingError, _format_sci
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
@@ -123,6 +126,32 @@ def test_decimal_strings_round_trip_outward(q, bits, digits):
     assert reparsed.lo_fraction <= enclosure.lo_fraction
     assert reparsed.hi_fraction >= enclosure.hi_fraction
     assert reparsed.contains(q)
+
+
+def test_decimal_strings_beyond_the_int_str_limit():
+    digits = 5000  # above Python's default 4,300-digit int-to-str limit
+    enclosure = Enclosure.from_fraction(Fraction(1, 3), 64)
+    lo, hi = enclosure.decimal_strings(digits)
+    assert len(lo.partition(".")[2]) == len(hi.partition(".")[2]) == digits
+    scale = 10**digits
+    assert Fraction(Decimal(lo)) == Fraction(math.floor(enclosure.lo_fraction * scale), scale)
+    assert Fraction(Decimal(hi)) == Fraction(math.ceil(enclosure.hi_fraction * scale), scale)
+    assert Fraction(Decimal(lo)) <= Fraction(1, 3) <= Fraction(Decimal(hi))
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.integers(min_value=0, max_value=4000),
+)
+def test_format_sci_matches_float_text_and_survives_underflow(q, shift):
+    x = q / 2**shift
+    text = _format_sci(x)
+    if x >= Fraction(sys.float_info.min):
+        assert text == f"{float(x):.3e}"
+    mantissa, _, exponent = text.partition("e")
+    assert len(mantissa) == 5 and 1 <= Decimal(mantissa) < 10
+    half_unit = Fraction(5, 10**4) * Fraction(10) ** int(exponent)
+    assert abs(Fraction(Decimal(text)) - x) <= half_unit
 
 
 @given(rationals, rationals)

@@ -5,6 +5,9 @@ direct summation routine at high term count, then pinned; the accelerated
 evaluator must enclose them independently.
 """
 
+import hashlib
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -177,6 +180,26 @@ def test_harmonic_product_at_high_precision(a, b):
     assert stuffle.width() <= 3 * width
 
 
+DEPTH_TWO_STUFFLES = [(2, 2, 1), (2, 3, 1), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("a,b,c", DEPTH_TWO_STUFFLES, ids=str)
+def test_harmonic_product_with_depth_two_factor(a, b, c):
+    # t(a) t(b,c): the new variable lies above, at, between, at or below the
+    # two ordered variables of t(b,c)
+    width = Fraction(1, 10**200)
+    product = enclosure_of([a], width=width) * enclosure_of([b, c], width=width)
+    stuffle = (
+        enclosure_of([a, b, c], width=width)
+        + enclosure_of([a + b, c], width=width)
+        + enclosure_of([b, a, c], width=width)
+        + enclosure_of([b, a + c], width=width)
+        + enclosure_of([b, c, a], width=width)
+    )
+    assert product.overlaps(stuffle)
+    assert stuffle.width() <= 5 * width
+
+
 # --- planner and recurrence -------------------------------------------------
 
 def test_plan_prices_the_expansion_build(monkeypatch):
@@ -233,3 +256,31 @@ def test_expansion_remainder_encloses_tail_at_low_order(index):
         for order in (2, 3, 4, 6, 8):
             coeffs, bound = prefix_expansion(index, order)
             assert evaluate_expansion(coeffs, bound, order, n, 128).overlaps(truth)
+
+
+# SHA-256 of repr(prefix_expansion(k, order)) over the grid below, each
+# built from an empty cache: the construction is exact, so a changed
+# coefficient or bound shows here even where the result would stay sound
+EXPANSION_GRID_SHA256 = "4a85a894e422522a07e11b42083e0086b3ede623e6b5968e49c16934ce4f55c2"
+
+
+def test_prefix_expansions_are_frozen():
+    digest = hashlib.sha256()
+    for index in [(2, 1), (2, 1, 1, 1), (3, 1, 2)]:
+        for order in (8, 16, 32):
+            prefix_expansion.cache_clear()
+            digest.update(repr(prefix_expansion(index, order)).encode())
+    assert digest.hexdigest() == EXPANSION_GRID_SHA256
+
+
+def test_budget_message_reports_widths_below_the_float_range():
+    target = Fraction(1, 10**1002)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        evaluator.evaluate_spec(ValueSpec((2,), 0), target)
+    message = str(excinfo.value)
+    match = re.match(r"width (\S+) above target (\S+) for 2 at ", message)
+    assert match is not None, message
+    assert match.group(2) == "1.000e-1002"
+    width = excinfo.value.partial.width()
+    printed = Fraction(Decimal(match.group(1)))
+    assert abs(printed - width) <= width / 1000
