@@ -41,24 +41,29 @@ COLD_GRID = (
     ("evaluate_spec", 30),
     ("evaluate_spec", 100),
     ("evaluate_spec", 300),
+    ("evaluate_direct_many", 5),
 )
 INDEX = (2, 1, 1, 1)
 REPEAT = 3
 END_TO_END = ("setup_s", "throughput_rps", "latency_p50_s", "latency_tail_s", "peak_rss_mb")
 
-# runs in the child: ``kind`` is prefix_expansion (argument: the order) or
-# evaluate_spec (argument: the exponent e of the target width 10**-e)
+# runs in the child: ``kind`` is prefix_expansion (argument: the order),
+# evaluate_spec (argument: the exponent e of the target width 10**-e) or
+# evaluate_direct_many (argument: the exponent e of max_outer 10**e, at
+# offsets 0 and 1)
 _CHILD = """
 import json, sys, time
 sys.modules["mpmath"] = None
 from fractions import Fraction
 import tvals
-from tvals.evaluator import evaluate_spec, prefix_expansion
+from tvals.evaluator import evaluate_direct_many, evaluate_spec, prefix_expansion
 from tvals.indices import ValueSpec
 kind, index, arg = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "prefix_expansion":
     prefix_expansion(index, arg)
+elif kind == "evaluate_direct_many":
+    evaluate_direct_many(index, (0, 1), 10**arg)
 else:
     evaluate_spec(ValueSpec(index, 0), Fraction(1, 10**arg))
 seconds = time.perf_counter() - start
@@ -79,6 +84,8 @@ def time_cold(tree: Path, kind: str, index: tuple, arg: int) -> dict:
 def _name(kind: str, arg: int) -> str:
     if kind == "prefix_expansion":
         return f"prefix_expansion({INDEX}, {arg})"
+    if kind == "evaluate_direct_many":
+        return f"evaluate_direct_many({INDEX}, (0, 1), 10**{arg})"
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 

@@ -17,6 +17,7 @@ from .evaluator import (
     evaluate,
     evaluate_direct,
     evaluate_direct_many,
+    evaluate_direct_family,
     evaluate_spec,
     odd_power_tail,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "evaluate",
     "evaluate_direct",
     "evaluate_direct_many",
+    "evaluate_direct_family",
     "evaluate_spec",
     "IndexParseError",
     "MultiIndex",

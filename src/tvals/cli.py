@@ -12,9 +12,10 @@ The cache is an append-only UTF-8 file of one JSON record per line.
 Records carry outward-rounded decimal endpoint strings — never binary
 floats.  A record is used only if it overlaps a fresh enclosure of the
 value at width ``2**-48``; a record that misses the value is skipped with a
-warning, like a corrupt line.  Appends take an advisory file lock, so
-concurrent writers interleave whole records.  The path comes from
-``--cache``, the ``TV_CACHE`` environment variable, or
+warning, like a corrupt line.  That check is the cache's trust boundary: a
+record that is wrong only below ``2**-48`` is printed as certified.  Appends
+take an advisory file lock, so concurrent writers interleave whole records.
+The path comes from ``--cache``, the ``TV_CACHE`` environment variable, or
 ``~/.cache/tv/enclosures.jsonl`` in that order.
 """
 
@@ -63,6 +64,8 @@ EXIT_OK = 0
 EXIT_UNRESOLVED = 1
 EXIT_INVALID = 2
 EXIT_COUNTEREXAMPLE = 3
+
+_DIRECT_MAX_OUTER = 1_000_000  # outer terms summed by ``eval --method direct``
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +238,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_OK
     target = Fraction(1, 10 ** (digits + 2))
     budget = _budget_from(args)
-    exit_code = EXIT_OK
+    shortfall = None  # why the printed enclosure misses the requested digits
     try:
         if args.method == "direct":
-            enclosure = evaluate_direct(spec, max_outer=1_000_000)
+            enclosure = evaluate_direct(spec, max_outer=_DIRECT_MAX_OUTER)
         else:
             enclosure = evaluate_spec(spec, target, budget)
     except DivergentError as exc:
@@ -249,7 +252,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNRESOLVED
         enclosure = exc.partial
-        exit_code = EXIT_UNRESOLVED
+        shortfall = "budget exceeded"
     if cache_path is not None:
         if prior is not None and enclosure.overlaps(prior[1]):
             # intersecting with earlier records keeps successive cached
@@ -257,15 +260,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             enclosure = enclosure.intersect(prior[1])
         record = CacheRecord.from_enclosure(spec, enclosure, args.method, digits + 6)
         cache_store(cache_path, record)
+    if shortfall is None and enclosure.width() > Fraction(1, 10**digits):
+        shortfall = f"direct summation to {_DIRECT_MAX_OUTER:,} outer terms"
     lo, hi = enclosure.decimal_strings(digits)
     print(f"{spec}  in  [{lo}, {hi}]")
-    if exit_code == EXIT_UNRESOLVED:
-        print(
-            f"warning: width {_format_sci(enclosure.width())} misses the "
-            f"requested {digits} digits (budget exceeded)",
-            file=sys.stderr,
-        )
-    return exit_code
+    if shortfall is None:
+        return EXIT_OK
+    print(
+        f"warning: width {_format_sci(enclosure.width())} misses the "
+        f"requested {digits} digits ({shortfall})",
+        file=sys.stderr,
+    )
+    return EXIT_UNRESOLVED
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -434,7 +440,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--digits", type=_int_at_least(1), default=30)
     p_eval.add_argument("--method", choices=("accelerated", "direct"),
                         default="accelerated")
-    p_eval.add_argument("--cache", default=None, help="cache file path")
+    p_eval.add_argument("--cache", default=None,
+                        help="cache file path; a cached record is checked only "
+                        "against a fresh 2^-48 enclosure, so a record that is "
+                        "wrong only below that width prints as certified")
     p_eval.add_argument("--no-cache", action="store_true")
     add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)

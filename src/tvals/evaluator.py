@@ -13,8 +13,10 @@ Two independent evaluators are provided:
   precision ladder retries with more bits until the requested width is met.
 * :func:`evaluate_direct` — the reference oracle.  It sums the defining
   nested series directly in scaled-integer fixed point with directed
-  rounding and adds an explicit rational over-estimate of the discarded
-  region, using only integer arithmetic.
+  rounding, one level at a time over blocks of outer values, and adds an
+  explicit rational over-estimate of the discarded region, using only
+  integer arithmetic.  :func:`evaluate_direct_family` sums many indices in
+  one sweep.
 
 The expansion machinery rests on three audited facts: the Euler--Maclaurin
 remainder for a completely monotone summand is enveloped by the first
@@ -30,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import floordiv
 from typing import Optional, Sequence
 
 from .enclosure import Enclosure, _format_sci
@@ -49,6 +53,7 @@ __all__ = [
     "evaluate_spec",
     "evaluate_direct",
     "evaluate_direct_many",
+    "evaluate_direct_family",
     "odd_power_tail",
     "prefix_expansion",
 ]
@@ -401,58 +406,108 @@ def _discard_bound(exponents: Sequence[int], max_outer: int) -> Fraction:
     return total / math.factorial(d - 1)
 
 
+# Outer values per sweep block.  At most one block list per level of the
+# current suffix path is alive, so memory is bounded by depth times block.
+# Measured on CPython 3.11 (2 vCPU) over the weight <= 6 indices: blocks of
+# 64, 128 and 256 run equally fast within noise at 2*10**4 and 10**5 outer
+# values, and in a process that runs only the oracle, 64 keeps the peak RSS
+# of the loop over single outer values while 128 and 256 add 128 KB.
+_BLOCK = 64
+
+
+def evaluate_direct_family(
+    indices: Sequence[MultiIndex],
+    offsets: Sequence[int],
+    max_outer: int = 1_000_000,
+    fixed_bits: int = 80,
+) -> dict[MultiIndex, dict[int, Enclosure]]:
+    """Direct nested summation of several indices at several tail offsets,
+    in one sweep of the outer variable ``m = 1..max_outer``.
+
+    Returns ``{index: {offset: enclosure}}``.  In scaled integers at
+    ``2**fixed_bits``, level ``j`` of an index adds at each ``m`` the partial
+    sum of level ``j+1`` below ``m`` divided by ``(2m-1)**k_j``, floored for
+    the lower endpoint and ceiled for the upper; the innermost level adds
+    ``1`` the same way once ``m`` exceeds the offset.  A level depends only
+    on the suffix of the index inward of it, so indices that share a suffix
+    share its levels.
+
+    The outer values run in blocks of ``_BLOCK``.  Per block, offset and
+    endpoint, each suffix (parents first) makes one pass of floor divisions
+    and one of running sums over its parent's block, and carries its last
+    partial sum into the next block.  The discarded-region bound is added
+    to every upper endpoint at the end.
+    """
+    offsets = list(dict.fromkeys(offsets))
+    if not offsets:
+        raise ValueError("at least one tail offset is required")
+    if min(offsets) < 0:
+        raise ValueError("tail_offset must be non-negative")
+    indices = [tuple(index) for index in indices]
+    for index in indices:
+        if index and index[0] < 2:
+            raise DivergentError(
+                f"index {index} is inadmissible: the outer sum diverges"
+            )
+        if index and max_outer < max(offsets) + len(index) + 2:
+            raise ValueError("max_outer too small for this depth and offset")
+    suffixes = {index[j:] for index in indices for j in range(len(index))}
+    children: dict[MultiIndex, list[MultiIndex]] = {}
+    for suffix in suffixes:
+        children.setdefault(suffix[1:], []).append(suffix)
+    # one lane per offset and endpoint: the lower endpoint, then the upper
+    # one negated, so that its ceiling is a floor division too
+    one = 1 << fixed_bits
+    lanes = [(n, sign * one) for n in offsets for sign in (1, -1)]
+    # per suffix and lane: the partial sum over the blocks swept so far
+    sums = {suffix: [0] * len(lanes) for suffix in suffixes}
+    exponents = {suffix[0] for suffix in suffixes}
+    for start in range(1, max_outer + 1, _BLOCK):
+        size = min(_BLOCK, max_outer + 1 - start)
+        odds = range(2 * start - 1, 2 * (start + size) - 1, 2)
+        powers = {k: [odd**k for odd in odds] for k in exponents}
+        for lane, (n, unit) in enumerate(lanes):
+            # the empty suffix below m: 1 once m exceeds the offset
+            zeros = min(max(n + 1 - start, 0), size)
+            root = [0] * zeros + [unit] * (size - zeros)
+            # depth first, so that a parent's block is dropped once its
+            # last child has read it
+            stack = [(suffix, root) for suffix in children.get((), ())]
+            while stack:
+                suffix, block = stack.pop()
+                steps = map(floordiv, block, powers[suffix[0]])
+                # starts with the partial sum below the block, so that the
+                # next level divides the sum below each m by m's power
+                block = list(accumulate(steps, initial=sums[suffix][lane]))
+                sums[suffix][lane] = block[-1]
+                stack.extend((child, block) for child in children.get(suffix, ()))
+
+    scale = Fraction(1, one)
+    out: dict[MultiIndex, dict[int, Enclosure]] = {}
+    for index in indices:
+        if not index:
+            out[index] = {n: Enclosure.exact_int(1) for n in offsets}
+            continue
+        discard = _discard_bound(index, max_outer)
+        out[index] = {
+            n: Enclosure.from_fraction_pair(
+                lo * scale, -nhi * scale + discard, fixed_bits
+            )
+            for n, lo, nhi in zip(offsets, sums[index][::2], sums[index][1::2])
+        }
+    return out
+
+
 def evaluate_direct_many(
     index: MultiIndex,
     offsets: Sequence[int],
     max_outer: int = 1_000_000,
     fixed_bits: int = 80,
 ) -> dict[int, Enclosure]:
-    """Direct nested summation for several tail offsets in one sweep.
-
-    Processes the outer variable ``m = 1..max_outer`` once, maintaining one
-    scaled-integer accumulator chain per requested offset with floor/ceiling
-    rounding, then adds the discarded-region bound to every upper endpoint.
-    """
-    if len(index) == 0:
-        return {n: Enclosure.exact_int(1) for n in offsets}
-    if index[0] < 2:
-        raise DivergentError(f"index {index} is inadmissible: the outer sum diverges")
-    d = len(index)
-    if max_outer < max(offsets) + d + 2:
-        raise ValueError("max_outer too small for this depth and offset")
-    discard = _discard_bound(index, max_outer)
-    one = 1 << fixed_bits
-    exps = list(index)
-    # chains[c] = [lo_1, hi_1, ..., lo_d, hi_d] for offset offsets[c]
-    chains = [[0] * (2 * d) for _ in offsets]
-    gates = list(offsets)
-    for m in range(1, max_outer + 1):
-        odd = 2 * m - 1
-        powers = [odd**k for k in exps]
-        for chain, gate in zip(chains, gates):
-            # update outer levels first so each uses the previous iteration's
-            # strictly-smaller inner partial sums
-            for j in range(d):
-                if j == d - 1:
-                    if m <= gate:
-                        continue
-                    inner_lo = one
-                    inner_hi = one
-                else:
-                    inner_lo = chain[2 * (j + 1)]
-                    inner_hi = chain[2 * (j + 1) + 1]
-                    if inner_hi == 0:
-                        continue
-                p = powers[j]
-                chain[2 * j] += inner_lo // p
-                chain[2 * j + 1] += -((-inner_hi) // p)
-    scale = Fraction(1, one)
-    out: dict[int, Enclosure] = {}
-    for chain, offset in zip(chains, gates):
-        lo = chain[0] * scale
-        hi = chain[1] * scale + discard
-        out[offset] = Enclosure.from_fraction_pair(lo, hi, fixed_bits)
-    return out
+    """Direct nested summation of one index for several tail offsets:
+    the one-index case of :func:`evaluate_direct_family`."""
+    index = tuple(index)
+    return evaluate_direct_family([index], offsets, max_outer, fixed_bits)[index]
 
 
 def evaluate_direct(

@@ -18,6 +18,7 @@ PUBLIC_NAMES = [
     "evaluate",
     "evaluate_direct",
     "evaluate_direct_many",
+    "evaluate_direct_family",
     "evaluate_spec",
     "IndexParseError",
     "MultiIndex",

@@ -46,3 +46,13 @@ def test_cold_row_runs_in_a_fresh_process_without_mpmath():
     got = record.time_cold(ROOT, "prefix_expansion", (2, 1), 8)
     assert got["seconds"] > 0
     assert set(got) == {"seconds", "python", "tvals"}
+
+
+def test_cold_grid_times_the_direct_oracle():
+    assert ("evaluate_direct_many", 5) in record.COLD_GRID
+    assert record._name("evaluate_direct_many", 5) == (
+        "evaluate_direct_many((2, 1, 1, 1), (0, 1), 10**5)"
+    )
+    got = record.time_cold(ROOT, "evaluate_direct_many", (2, 1), 3)
+    assert got["seconds"] > 0
+    assert set(got) == {"seconds", "python", "tvals"}

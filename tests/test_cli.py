@@ -47,6 +47,18 @@ def test_eval_direct_method(cache_path, capsys):
     assert "0.329" in out
 
 
+def test_eval_direct_warns_when_its_width_misses_the_digits(cache_path, capsys):
+    code, out, err = run(
+        capsys, "eval", "--index", "2,1,1,1", "--digits", "12", "--method", "direct"
+    )
+    assert code == UNRESOLVED
+    assert "0.06568" in out
+    assert re.search(r"warning: width \S+ misses the requested 12 digits", err)
+    # the wide enclosure is still certified, so it is cached
+    records = [json.loads(line) for line in cache_path.read_text().splitlines()]
+    assert [(r["index"], r["method"]) for r in records] == [([2, 1, 1, 1], "direct")]
+
+
 def test_eval_rejects_bad_index(cache_path, capsys):
     code, _, err = run(capsys, "eval", "--index", "2,x")
     assert code == INVALID

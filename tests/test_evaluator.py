@@ -19,10 +19,11 @@ from tvals.evaluator import (
     EvalRequest,
     evaluate,
     evaluate_direct,
+    evaluate_direct_family,
     evaluate_direct_many,
     prefix_expansion,
 )
-from tvals.indices import ValueSpec
+from tvals.indices import ValueSpec, enumerate_admissible_up_to
 from tvals.numerics import PrecisionBudget, const_pi, evaluate_expansion
 
 TIGHT = Fraction(1, 10**30)
@@ -114,6 +115,114 @@ def test_direct_many_fuses_offsets_consistently():
 def test_direct_empty_index():
     got = evaluate_direct(ValueSpec((), 3), max_outer=100)
     assert got.contains(Fraction(1))
+
+
+NEGATIVE = "tail_offset must be non-negative"  # ValueSpec's own wording
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [((-1,), NEGATIVE), ((0, -1), NEGATIVE), ((), "at least one tail offset")],
+    ids=["negative", "mixed", "none"],
+)
+def test_direct_rejects_offsets_that_value_spec_rejects(offsets, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate_direct_many((2, 1), offsets, 100)
+    with pytest.raises(ValueError, match=message):
+        evaluate_direct_family([(2, 1), (3,)], offsets, 100)
+    with pytest.raises(ValueError, match=NEGATIVE):
+        ValueSpec((2, 1), -1)
+
+
+# --- the oracle's block sweep against the per-outer-value loop ---------------
+
+def reference_direct_many(index, offsets, max_outer, fixed_bits=80):
+    """The oracle as one Python loop per outer value, offset and level: each
+    level adds the previous outer value's partial sum of the level inward of
+    it, floored and ceiled after division by ``(2m-1)**k``."""
+    d = len(index)
+    one = 1 << fixed_bits
+    chains = {n: [[0, 0] for _ in index] for n in offsets}
+    for m in range(1, max_outer + 1):
+        odd = 2 * m - 1
+        for n, chain in chains.items():
+            for j in range(d):  # outer levels first: each reads the inner one below m
+                if j == d - 1:
+                    inner = (one, one) if m > n else (0, 0)
+                else:
+                    inner = chain[j + 1]
+                p = odd ** index[j]
+                chain[j][0] += inner[0] // p
+                chain[j][1] += -((-inner[1]) // p)
+    discard = evaluator._discard_bound(index, max_outer)
+    return {
+        n: Enclosure.from_fraction_pair(
+            Fraction(chain[0][0], one), Fraction(chain[0][1], one) + discard, fixed_bits
+        )
+        for n, chain in chains.items()
+    }
+
+
+def same_enclosure(a, b):
+    return (a.lo_fraction, a.hi_fraction, a.precision_bits) == (
+        b.lo_fraction, b.hi_fraction, b.precision_bits
+    )
+
+
+BLOCK = evaluator._BLOCK
+EDGE_OFFSETS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1)
+
+
+@pytest.mark.parametrize(
+    "index, max_outer, fixed_bits",
+    [
+        ((2,), 3 * BLOCK + 7, 80),
+        ((2, 1), 1537 // BLOCK * BLOCK + 1, 80),
+        ((3, 1, 2), 9 * BLOCK + 9, 80),
+        ((2, 1, 1, 1), 12 * BLOCK - 1, 80),
+        ((2, 2, 1, 1), 5 * BLOCK + 7, 40),
+    ],
+    ids=str,
+)
+def test_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits):
+    assert max_outer <= 1600 and max_outer % BLOCK
+    offsets = [n for n in EDGE_OFFSETS if n + len(index) + 2 <= max_outer]
+    got = evaluate_direct_many(index, offsets, max_outer, fixed_bits)
+    want = reference_direct_many(index, offsets, max_outer, fixed_bits)
+    assert list(got) == offsets
+    assert all(same_enclosure(got[n], want[n]) for n in offsets)
+
+
+def test_family_sweep_equals_one_index_sweeps():
+    indices = enumerate_admissible_up_to(6)
+    offsets = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
+    family = evaluate_direct_family(indices, offsets, 4 * BLOCK + 3)
+    assert list(family) == indices
+    for index in indices:
+        alone = evaluate_direct_many(index, offsets, 4 * BLOCK + 3)
+        assert all(same_enclosure(family[index][n], alone[n]) for n in offsets)
+
+
+def test_family_handles_the_empty_index_and_shared_suffixes():
+    family = evaluate_direct_family([(2, 1), (), (3, 1), (2, 1)], (2, 0), 500)
+    assert list(family) == [(2, 1), (), (3, 1)]
+    assert family[()][2].contains(Fraction(1))
+    assert same_enclosure(family[(3, 1)][0], evaluate_direct_many((3, 1), (0,), 500)[0])
+
+
+def test_oracle_enclosures_are_frozen():
+    # SHA-256 of the 62 enclosures of the weight <= 6 indices at offsets 0 and
+    # 1, computed with the per-outer-value loop before the block sweep
+    indices = enumerate_admissible_up_to(6)
+    family = evaluate_direct_family(indices, (0, 1), 2 * 10**4)
+    digest = hashlib.sha256()
+    for index in indices:
+        for n in (0, 1):
+            e = family[index][n]
+            digest.update(repr((index, n, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
+    assert digest.hexdigest() == (
+        "951660203567683c8b8f0cd0757126df73f3dff682ec99e13562efe705d0ba5e"
+    )
 
 
 # --- determinism, budgets, errors -------------------------------------------
