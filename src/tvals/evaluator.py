@@ -79,23 +79,45 @@ class EvalRequest:
 # ----------------------------------------------------------------------
 # expansion construction
 # ----------------------------------------------------------------------
-def _partial_fraction(s: int, q: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+@lru_cache(maxsize=None)
+def _partial_fraction(
+    s: int, q: int
+) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """Split ``(2j-1)**(-s) (2j+1)**(-q)`` into pole parts at each factor.
 
-    Returns ``(alpha, gamma)`` with
-    ``(2j-1)**(-s) (2j+1)**(-q) =
-    sum_i alpha[i] (2j-1)**(-i) + sum_i gamma[i] (2j+1)**(-i)``.
-    The order-one coefficients cancel: ``alpha[1] + gamma[1] = 0``.
+    With ``alpha[i]`` the coefficient of ``(2j-1)**(-i)`` and ``gamma[i]``
+    that of ``(2j+1)**(-i)``, all dyadic, returns the integers
+    ``2**(s+q-1)`` times: ``alpha[1]``; ``gamma[i]`` for ``i >= 2``; and
+    the nonzero ``alpha[i] + gamma[i]`` for ``2 <= i <= max(s, q)``.  The
+    order-one coefficients cancel: ``alpha[1] + gamma[1] = 0``.
     """
+    # alpha[s-u] = (-1)**u C(q+u-1, u) / 2**(q+u),
+    # gamma[q-v] = (-1)**s C(s+v-1, v) / 2**(s+v)
     alpha = {
-        s - u: Fraction((-1) ** u * math.comb(q + u - 1, u), 2 ** (q + u))
-        for u in range(s)
+        s - u: (-1) ** u * math.comb(q + u - 1, u) << (s - 1 - u) for u in range(s)
     }
     gamma = {
-        q - v: Fraction((-1) ** s * math.comb(s + v - 1, v), 2 ** (s + v))
-        for v in range(q)
+        q - v: (-1) ** s * math.comb(s + v - 1, v) << (q - 1 - v) for v in range(q)
     }
-    return alpha, gamma
+    poles = ((i, alpha.get(i, 0) + gamma.get(i, 0)) for i in range(2, max(s, q) + 1))
+    return (
+        alpha[1],
+        tuple((i, g) for i, g in gamma.items() if i >= 2),
+        tuple((i, c) for i, c in poles if c),
+    )
+
+
+@lru_cache(maxsize=None)
+def _base_view(k: int, order: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """``base_expansion(k, order)`` as integers over one denominator:
+    ``(scale, ((power, scale * coefficient), ...), scale * bound)``."""
+    coeffs, bound = base_expansion(k, order)
+    scale = math.lcm(bound.denominator, *(v.denominator for _, v in coeffs))
+    return (
+        scale,
+        tuple((p, v.numerator * (scale // v.denominator)) for p, v in coeffs),
+        bound.numerator * (scale // bound.denominator),
+    )
 
 
 def _step_expansion(
@@ -113,42 +135,56 @@ def _step_expansion(
     The map is linear in the input coefficients, so the ``T_i`` terms are
     gathered per pole order ``i`` (``weight[i]`` for the coefficients,
     ``mass[i]`` for the bound) and each ``base_expansion(i)`` is added once,
-    which keeps the exact work at O(order**2).
+    which keeps the exact work at O(order**2).  That work runs on integer
+    numerators: the input over the lcm ``den`` of its denominators, the
+    dyadic split over ``2**(s+top-1)``, each base expansion over its own
+    denominator (``_base_view``) and their sum over the lcm of those.  Only
+    the output coefficients and the bound become ``Fraction``s.
     """
-    new: dict[int, Fraction] = {}
-    weight: dict[int, Fraction] = {}
-    mass: dict[int, Fraction] = {}
-    # the summand's own remainder, summed over j > n
-    new_bound = Fraction(3, 2) / Fraction(3 ** (s - 1)) * bound
+    den = math.lcm(*(d.denominator for _, d in coeffs))
+    top = max((q for q, _ in coeffs), default=1)
+    cut = order + 1
+    # beyond the order, T_i(n) <= (3/2) w**(i-1) <= (3/2) 3**(cut-(i-1)) w**cut;
+    # ``far`` sums |d c| 3**(reach-(i-1-cut)), so that it is over 3**reach
+    reach = max(max(s, top) - 1 - cut, 0)
+    far = 0
+    # over den * 2**(s+top-1)
+    new: dict[int, int] = {}
+    weight: dict[int, int] = {}
+    mass: dict[int, int] = {}
     for q, d in coeffs:
-        if d == 0:
+        if not d:
             continue
-        alpha, gamma = _partial_fraction(s, q)
-        a1 = alpha.get(1, Fraction(0))
-        if a1:
-            new[1] = new.get(1, Fraction(0)) + d * a1
-        for i, g in gamma.items():
-            if i >= 2 and g:
-                new[i] = new.get(i, Fraction(0)) - d * g
-        for i in range(2, max(s, q) + 1):
-            c = alpha.get(i, Fraction(0)) + gamma.get(i, Fraction(0))
-            if c == 0:
+        num = d.numerator * (den // d.denominator) << (top - q)
+        a1, gammas, poles = _partial_fraction(s, q)
+        new[1] = new.get(1, 0) + num * a1
+        for i, g in gammas:
+            new[i] = new.get(i, 0) - num * g
+        for i, c in poles:
+            dc = num * c
+            if i > cut:
+                far += abs(dc) * 3 ** (reach - (i - 1 - cut))
                 continue
-            if i > order + 1:
-                # T_i(n) <= (3/2) w**(i-1) <= (3/2) 3**(order+1-(i-1)) w**(order+1)
-                new_bound += abs(d * c) * Fraction(3, 2) / Fraction(
-                    3 ** (i - 1 - (order + 1))
-                )
-                continue
-            dc = d * c
-            weight[i] = weight.get(i, Fraction(0)) + dc
-            mass[i] = mass.get(i, Fraction(0)) + abs(dc)
+            weight[i] = weight.get(i, 0) + dc
+            mass[i] = mass.get(i, 0) + abs(dc)
+    views = {i: _base_view(i, order) for i in weight}
+    lcm = math.lcm(*(view[0] for view in views.values()))
+    # over den * 2**(s+top-1) * lcm
+    acc = {p: v * lcm for p, v in new.items()}
+    spread = 0
     for i, e in weight.items():
-        base_coeffs, base_bound = base_expansion(i, order)
-        for p, v in base_coeffs:
-            new[p] = new.get(p, Fraction(0)) + e * v
-        new_bound += mass[i] * base_bound
-    cleaned = tuple(sorted((p, v) for p, v in new.items() if v != 0))
+        scale, base_nums, base_bound = views[i]
+        lift = lcm // scale
+        e *= lift
+        for p, b in base_nums:
+            acc[p] = acc.get(p, 0) + e * b
+        spread += mass[i] * lift * base_bound
+    total = (den << (s + top - 1)) * lcm
+    cleaned = tuple((p, Fraction(v, total)) for p, v in sorted(acc.items()) if v)
+    # the summand's own remainder, summed over j > n, plus the pole masses
+    new_bound = bound * Fraction(3, 2 * 3 ** (s - 1)) + Fraction(
+        2 * 3**reach * spread + 3 * lcm * far, 2 * 3**reach * total
+    )
     return cleaned, new_bound
 
 
@@ -192,13 +228,12 @@ _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_STEPS = 20_000
 # Cost of building the expansions of one order, per order**3, in units of
 # one recurrence step of one prefix at 512 bits.  Measured cold on CPython
-# 3.11 (2 vCPU), building every prefix of a depth-2 to depth-4 index takes
-# 0.5-2.8 units per order**3 at orders 16-32 and 0.1-0.6 at orders 64-128,
-# about 11-55 units per order**2.  The cubic charge is kept: ``48 *
-# order**2`` chooses the same plans at widths 1e-30 to 1e-300, and ``16 *
-# order**2`` moves 1e-30 and 1e-100 to higher orders that run slower.  The
-# depth-1 expansions are charged the same so that a cheap base expansion
-# never pulls in Bernoulli numbers of a high order.
+# 3.11 (2 vCPU, one step about 1 us), building every prefix of a depth-2 to
+# depth-4 index in integers takes 7-12 units per order**2 at orders 16-128,
+# that is 0.5-0.7 units per order**3 at order 16 and 0.06-0.08 at order 128.
+# The constant is not refitted to these yet, so plans stay where they are.
+# The depth-1 expansions are charged the same so that a cheap base
+# expansion never pulls in Bernoulli numbers of a high order.
 _BUILD_COST = 2
 
 

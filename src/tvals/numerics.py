@@ -276,9 +276,20 @@ def evaluate_expansion(
     n: int,
     precision_bits: int,
 ) -> Enclosure:
-    """Enclose a ``w``-power expansion at ``w = 1/(2n+1)`` with its remainder."""
-    w = Fraction(1, 2 * n + 1)
-    value = sum(coeff * w**power for power, coeff in coefficients)
+    """Enclose a ``w``-power expansion at ``w = 1/(2n+1)`` with its remainder.
+
+    ``coefficients`` run in increasing power.  The sum is exact: Horner's
+    rule in ``m = 2n+1`` on the numerators over the lcm of the
+    denominators, divided once by that lcm times ``m**top``.
+    """
+    m = 2 * n + 1
+    den = math.lcm(*(coeff.denominator for _, coeff in coefficients))
+    acc = 0
+    top = 0
+    for power, coeff in coefficients:
+        acc = acc * m ** (power - top) + coeff.numerator * (den // coeff.denominator)
+        top = power
+    value = Fraction(acc, den * m**top)
     return Enclosure.from_fraction(value, precision_bits + _GUARD_BITS).widen(
         expansion_remainder_bound(bound, order, n)
     )

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, UnresolvedComparisonError
 from .evaluator import evaluate_spec
 from .indices import MultiIndex, ValueSpec, depth_graded_key, is_admissible
@@ -219,7 +219,7 @@ def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int
         if total_hi - acc_lo < threshold:
             return cap
     raise BudgetExceededError(
-        f"depth cap for threshold {float(threshold):.3e} not reached by depth 64"
+        f"depth cap for threshold {_format_sci(threshold)} not reached by depth 64"
     )
 
 
@@ -414,7 +414,7 @@ def band_prefix(
     floor_spec = ValueSpec(table[band - 1].index, 1)
     if _scalar_verdict(floor_spec, alpha_lo, budget) is not Verdict.LESS:
         raise ValueError(
-            f"alpha={float(alpha_lo):.6e} is not certifiably above the "
+            f"alpha={_format_sci(alpha_lo)} is not certifiably above the "
             f"band-{band} floor (tail of {floor_spec.index})"
         )
     top_spec = None if band == 1 else ValueSpec(table[band - 2].index, 1)

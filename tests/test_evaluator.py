@@ -6,11 +6,13 @@ evaluator must enclose them independently.
 """
 
 import hashlib
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvals import evaluator
 from tvals.enclosure import Enclosure
@@ -24,7 +26,14 @@ from tvals.evaluator import (
     prefix_expansion,
 )
 from tvals.indices import ValueSpec, enumerate_admissible_up_to
-from tvals.numerics import PrecisionBudget, const_pi, evaluate_expansion
+from tvals.numerics import (
+    _GUARD_BITS,
+    PrecisionBudget,
+    base_expansion,
+    const_pi,
+    evaluate_expansion,
+    expansion_remainder_bound,
+)
 
 TIGHT = Fraction(1, 10**30)
 
@@ -380,6 +389,146 @@ def test_prefix_expansions_are_frozen():
             prefix_expansion.cache_clear()
             digest.update(repr(prefix_expansion(index, order)).encode())
     assert digest.hexdigest() == EXPANSION_GRID_SHA256
+
+
+# SHA-256 of repr(prefix_expansion(k, 128)) for the indices below, each
+# built from an empty cache, taken with the Fraction build before the
+# integer one
+ORDER_128_SHA256 = "0176aef34d209939528b5fc6bb7d181743f6031b4aa4b6003688ebd1571d1656"
+
+
+def test_order_128_expansions_are_frozen():
+    digest = hashlib.sha256()
+    for index in [(2, 1, 1, 1), (3, 1, 2), (2, 1, 1, 1, 1, 1)]:
+        prefix_expansion.cache_clear()
+        digest.update(repr(prefix_expansion(index, 128)).encode())
+    assert digest.hexdigest() == ORDER_128_SHA256
+
+
+# SHA-256 of (k, n, w, lo, hi, bits) of the fast path over the weight <= 6,
+# depth <= 4 indices, taken before the integer expansion build and the
+# integer Horner sum of the seeds
+FAST_PATH_SHA256 = "731a40aa7cf39760a12d53c4796400b96d7c657e450424bb6f69c97b40b64abf"
+
+
+def test_fast_path_enclosures_are_frozen():
+    indices = [k for k in enumerate_admissible_up_to(6) if len(k) <= 4]
+    assert len(indices) == 30
+    digest = hashlib.sha256()
+    for k in indices:
+        for n in (0, 1, 2):
+            for w in (Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 10**45)):
+                e = evaluator.evaluate_spec(ValueSpec(k, n), w)
+                digest.update(repr((k, n, w, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
+    assert digest.hexdigest() == FAST_PATH_SHA256
+
+
+# --- the integer kernels against their Fraction references -----------------
+
+def reference_step_expansion(coeffs, bound, s, order):
+    """The expansion step in ``Fraction`` arithmetic, as it was before the
+    integer build: the partial-fraction split per input coefficient, then
+    one ``base_expansion(i)`` per pole order ``i``."""
+
+    def partial_fraction(s, q):
+        alpha = {
+            s - u: Fraction((-1) ** u * math.comb(q + u - 1, u), 2 ** (q + u))
+            for u in range(s)
+        }
+        gamma = {
+            q - v: Fraction((-1) ** s * math.comb(s + v - 1, v), 2 ** (s + v))
+            for v in range(q)
+        }
+        return alpha, gamma
+
+    new, weight, mass = {}, {}, {}
+    new_bound = Fraction(3, 2) / Fraction(3 ** (s - 1)) * bound
+    for q, d in coeffs:
+        if d == 0:
+            continue
+        alpha, gamma = partial_fraction(s, q)
+        a1 = alpha.get(1, Fraction(0))
+        if a1:
+            new[1] = new.get(1, Fraction(0)) + d * a1
+        for i, g in gamma.items():
+            if i >= 2 and g:
+                new[i] = new.get(i, Fraction(0)) - d * g
+        for i in range(2, max(s, q) + 1):
+            c = alpha.get(i, Fraction(0)) + gamma.get(i, Fraction(0))
+            if c == 0:
+                continue
+            if i > order + 1:
+                new_bound += abs(d * c) * Fraction(3, 2) / Fraction(
+                    3 ** (i - 1 - (order + 1))
+                )
+                continue
+            dc = d * c
+            weight[i] = weight.get(i, Fraction(0)) + dc
+            mass[i] = mass.get(i, Fraction(0)) + abs(dc)
+    for i, e in weight.items():
+        base_coeffs, base_bound = base_expansion(i, order)
+        for p, v in base_coeffs:
+            new[p] = new.get(p, Fraction(0)) + e * v
+        new_bound += mass[i] * base_bound
+    return tuple(sorted((p, v) for p, v in new.items() if v != 0)), new_bound
+
+
+def _step_inputs():
+    # (inner index, order, s): exponents s beyond order + 1 take the far
+    # branch, and base_expansion(12, 8) has no coefficients at all
+    for inner, orders, exponents in [
+        ((2,), range(2, 13), (1, 2, 12, 13)),
+        ((3, 11), range(2, 13), (1, 2)),
+        ((2, 1, 13), range(2, 13), (1, 4)),
+        ((12,), (8,), (1, 3, 11)),
+        ((2, 1), (16, 32, 48), (1, 2, 3, 5)),
+        ((3, 1, 2), (24, 64), (1, 2)),
+    ]:
+        for order in orders:
+            for s in exponents:
+                yield inner, order, s
+
+
+@pytest.mark.parametrize("inner, order, s", list(_step_inputs()), ids=str)
+def test_integer_step_matches_fraction_step(inner, order, s):
+    coeffs, bound = prefix_expansion(inner, order)
+    got = evaluator._step_expansion(coeffs, bound, s, order)
+    assert got == reference_step_expansion(coeffs, bound, s, order)
+    # zero coefficients, anywhere in the input, contribute nothing
+    padded = ((1, Fraction(0)),) + coeffs + ((order + 1, Fraction(0)),)
+    assert evaluator._step_expansion(padded, bound, s, order) == got
+    assert reference_step_expansion(padded, bound, s, order) == got
+
+
+def test_step_of_an_empty_expansion_scales_the_bound():
+    coeffs, bound = base_expansion(12, 8)
+    assert coeffs == ()
+    assert evaluator._step_expansion(coeffs, bound, 3, 8) == ((), bound / 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.integers(0, 40),
+        st.fractions(max_denominator=10**12),
+        max_size=12,
+    ),
+    n=st.integers(0, 10**6),
+    bits=st.integers(8, 600),
+    bound=st.fractions(min_value=0, max_denominator=10**6),
+)
+def test_evaluate_expansion_is_the_plain_fraction_sum(terms, n, bits, bound):
+    coefficients = tuple(sorted(terms.items()))
+    order = max(terms, default=0) + 1
+    got = evaluate_expansion(coefficients, bound, order, n, bits)
+    w = Fraction(1, 2 * n + 1)
+    value = sum((c * w**p for p, c in coefficients), Fraction(0))
+    want = Enclosure.from_fraction(value, bits + _GUARD_BITS).widen(
+        expansion_remainder_bound(bound, order, n)
+    )
+    assert (got.lo_fraction, got.hi_fraction, got.precision_bits) == (
+        want.lo_fraction, want.hi_fraction, want.precision_bits
+    )
 
 
 def test_budget_message_reports_widths_below_the_float_range():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tvals.enclosure import Enclosure
-from tvals.errors import UnresolvedComparisonError
+from tvals import order
+from tvals.errors import BudgetExceededError, UnresolvedComparisonError
 from tvals.evaluator import EvalRequest, evaluate
 from tvals.indices import ValueSpec, enumerate_admissible_up_to
 from tvals.numerics import PrecisionBudget
@@ -167,6 +168,16 @@ def test_band_prefix_is_descending_and_above_threshold():
             if previous is not None:
                 assert enclosure.certified_lt(previous)
             previous = enclosure
+
+
+def test_threshold_messages_print_values_below_the_float_range(monkeypatch):
+    tiny = Fraction(1, 10**400)  # float() underflows to 0.0
+    with pytest.raises(ValueError, match=r"^alpha=1\.000e-400 is not certifiably above"):
+        band_prefix(2, tiny)
+    # no depth mass ever accumulates, so the cap is never reached
+    monkeypatch.setattr(order, "_enclose", lambda spec, width, budget: Enclosure.exact_int(0))
+    with pytest.raises(BudgetExceededError, match=r"threshold 1\.000e-400 not reached"):
+        order._depth_cap(tiny, 0, PrecisionBudget())
 
 
 def test_band_escape_documented():
