@@ -9,7 +9,8 @@ Run from the repository root, once per source tree to compare::
 
 Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
 
-* ``cold``: the fixed grid below, each timed in a fresh Python process
+* ``cold``: the fixed grid below (the evaluator layers and the order
+  queries ``phi`` and ``beta_table``), each timed in a fresh Python process
   (every ``lru_cache`` empty), ``REPEAT`` times, with ``mpmath`` blocked
   so that a tree which still needs it fails here;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
@@ -42,15 +43,18 @@ COLD_GRID = (
     ("evaluate_spec", 100),
     ("evaluate_spec", 300),
     ("evaluate_direct_many", 5),
+    ("phi", 0),
+    ("beta_table", 12),
 )
 INDEX = (2, 1, 1, 1)
 REPEAT = 3
 END_TO_END = ("setup_s", "throughput_rps", "latency_p50_s", "latency_tail_s", "peak_rss_mb")
 
 # runs in the child: ``kind`` is prefix_expansion (argument: the order),
-# evaluate_spec (argument: the exponent e of the target width 10**-e) or
+# evaluate_spec (argument: the exponent e of the target width 10**-e),
 # evaluate_direct_many (argument: the exponent e of max_outer 10**e, at
-# offsets 0 and 1)
+# offsets 0 and 1), phi (argument unused) or beta_table (argument: the count,
+# the index unused)
 _CHILD = """
 import json, sys, time
 sys.modules["mpmath"] = None
@@ -58,12 +62,17 @@ from fractions import Fraction
 import tvals
 from tvals.evaluator import evaluate_direct_many, evaluate_spec, prefix_expansion
 from tvals.indices import ValueSpec
+from tvals.order import beta_table, phi
 kind, index, arg = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "prefix_expansion":
     prefix_expansion(index, arg)
 elif kind == "evaluate_direct_many":
     evaluate_direct_many(index, (0, 1), 10**arg)
+elif kind == "phi":
+    phi(index)
+elif kind == "beta_table":
+    beta_table(arg)
 else:
     evaluate_spec(ValueSpec(index, 0), Fraction(1, 10**arg))
 seconds = time.perf_counter() - start
@@ -86,6 +95,10 @@ def _name(kind: str, arg: int) -> str:
         return f"prefix_expansion({INDEX}, {arg})"
     if kind == "evaluate_direct_many":
         return f"evaluate_direct_many({INDEX}, (0, 1), 10**{arg})"
+    if kind == "phi":
+        return f"phi({INDEX})"
+    if kind == "beta_table":
+        return f"beta_table({arg})"
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 

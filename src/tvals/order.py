@@ -18,6 +18,12 @@ its entries cut the full values into bands.  This module provides:
   decreasing order.
 * :func:`phi` — the coordinates (band, position within band) of a full
   value; the order-reversing pairing between values and index pairs.
+
+Each order fact is certified once per budget.  One list holds the tails in
+certified decreasing order, complete above the lowest threshold enumerated
+so far; :func:`beta_table` reads its head, and ranks and bands count the
+tails above a value by bisecting into it.  Enclosures are memoised by
+(spec, width, budget).  Both stores live for the whole process.
 """
 
 from __future__ import annotations
@@ -89,24 +95,38 @@ class PhiCoord:
 
 _DEFAULT_BUDGET = PrecisionBudget()
 
+# The first refinement width is also the width of every displayed or sorted
+# enclosure and of the depth-cap masses at coarse thresholds, so all of them
+# share one enclosure per spec.
+_FIRST_WIDTH = Fraction(1, 2**48)
+
 
 def _refinement_widths(budget: PrecisionBudget):
-    # The first width matches the one used for displayed band members, so a
-    # comparison's first attempt and a band enumeration share cache entries.
-    yield Fraction(1, 2**48)
+    yield _FIRST_WIDTH
     for bits in budget.rungs():
         width = Fraction(1, 2 ** max(bits - 10, 20))
         if width < Fraction(1, 2**64):
             yield width
 
 
+# A hit returns the object that the miss computed (a budget-capped partial
+# included), so repeated queries see the same enclosure without re-entering
+# the evaluator.
+_ENCLOSURES: dict[tuple[ValueSpec, Fraction, PrecisionBudget], Enclosure] = {}
+
+
 def _enclose(spec: ValueSpec, width: Fraction, budget: PrecisionBudget) -> Enclosure:
-    try:
-        return evaluate_spec(spec, width, budget)
-    except BudgetExceededError as exc:
-        if exc.partial is None:
-            raise
-        return exc.partial
+    key = (spec, width, budget)
+    enclosure = _ENCLOSURES.get(key)
+    if enclosure is None:
+        try:
+            enclosure = evaluate_spec(spec, width, budget)
+        except BudgetExceededError as exc:
+            if exc.partial is None:
+                raise
+            enclosure = exc.partial
+        _ENCLOSURES[key] = enclosure
+    return enclosure
 
 
 def compare(
@@ -204,12 +224,18 @@ def _mass_total(offset: int, budget: PrecisionBudget) -> Enclosure:
 @lru_cache(maxsize=4096)
 def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int:
     """Smallest ``D`` such that every index of depth beyond ``D`` has value
-    certifiably below ``threshold``, via the remaining per-depth mass."""
+    certifiably below ``threshold``, via the remaining per-depth mass.
+
+    Any lower bounds on the mass terms give a sound cap; a wider enclosure
+    can only make it larger.  The terms are read at one of two fixed widths,
+    so they are shared across thresholds.  When ``threshold >= 2**-32`` that
+    is the first refinement width: the terms are then the enclosures the
+    enumeration asks for its first padded candidate at each depth, and the
+    slack of at most ``64 * 2**-48 <= threshold / 2**10`` adds at most one
+    depth, whose first candidate is decided below the threshold.  Below
+    that it is ``2**-80``."""
     total_hi = _mass_total(offset, budget).hi_fraction
-    # fixed evaluation width so the per-depth mass terms are shared across
-    # every threshold; the <= 64 * 2**(-80) slack is negligible at any
-    # threshold this routine can certify by depth 64
-    mass_width = Fraction(1, 2**80)
+    mass_width = _FIRST_WIDTH if threshold >= Fraction(1, 2**32) else Fraction(1, 2**80)
     acc_lo = Fraction(0)
     for cap in range(1, 65):
         enclosure = _enclose(
@@ -278,10 +304,23 @@ def enumerate_tails_above(
     def sort_key(index: MultiIndex):
         if len(index) == 0:
             return (Fraction(-1), depth_graded_key(index))
-        mid = _enclose(ValueSpec(index, 1), Fraction(1, 2**48), budget).midpoint()
+        mid = _enclose(ValueSpec(index, 1), _FIRST_WIDTH, budget).midpoint()
         return (-mid, depth_graded_key(index))
 
     return tuple(sorted(found, key=sort_key))
+
+
+def _bisect(ordered: list[ValueSpec], spec: ValueSpec, budget: PrecisionBudget) -> int:
+    """Number of entries of ``ordered`` (certified decreasing, not holding
+    ``spec``) that lie above ``spec``, by certified bisection."""
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _decide(spec, ordered[mid], budget) is Verdict.GREATER:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _certified_insertion_sort(
@@ -290,26 +329,34 @@ def _certified_insertion_sort(
     """Sort decreasing with certified pairwise comparisons (values distinct)."""
     ordered: list[ValueSpec] = []
     for spec in specs:
-        lo, hi = 0, len(ordered)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _decide(spec, ordered[mid], budget) is Verdict.GREATER:
-                hi = mid
-            else:
-                lo = mid + 1
-        ordered.insert(lo, spec)
+        ordered.insert(_bisect(ordered, spec, budget), spec)
     return ordered
 
 
-@lru_cache(maxsize=None)
-def _sorted_tails_above(
-    threshold: Fraction, budget: PrecisionBudget
-) -> tuple[ValueSpec, ...]:
-    """Tail specs above ``threshold`` in certified decreasing order."""
-    tails = enumerate_tails_above(threshold, budget)
-    return tuple(
-        _certified_insertion_sort([ValueSpec(index, 1) for index in tails], budget)
-    )
+# Per budget, the floor and the tail specs in certified decreasing order:
+# every tail above the floor is listed.  The empty tail is 1, so an absent
+# budget reads as floor 1 and no tails.
+_TAIL_LISTS: dict[PrecisionBudget, tuple[Fraction, list[ValueSpec]]] = {}
+
+
+def _tails_down_to(threshold: Fraction, budget: PrecisionBudget) -> list[ValueSpec]:
+    """The certified tail list of ``budget``, complete above ``threshold``.
+
+    A threshold at or above the list's floor reads the list as it is; a lower
+    one enumerates at ``threshold`` and inserts the new tails by certified
+    bisection.  The list is replaced only once the whole extension is
+    certified, so a raised :class:`~tvals.errors.UnresolvedComparisonError`
+    leaves it as it was."""
+    floor, specs = _TAIL_LISTS.get(budget, (Fraction(1), []))
+    if threshold < floor:
+        specs = list(specs)
+        listed = set(specs)
+        for index in enumerate_tails_above(threshold, budget):
+            spec = ValueSpec(index, 1)
+            if spec not in listed:
+                specs.insert(_bisect(specs, spec, budget), spec)
+        _TAIL_LISTS[budget] = (threshold, specs)
+    return specs
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +365,9 @@ def beta_table(
 ) -> tuple[BetaEntry, ...]:
     """The first ``count`` tails in certified decreasing order.
 
-    Lowers an enumeration threshold by factors of two until enough tails
-    appear; a threshold that lands unresolvably close to some tail twice in
-    a row is nudged by a small seeded dyadic perturbation.
+    Extends the tail list by lowering its threshold by factors of two until
+    it holds enough tails; a threshold that lands unresolvably close to some
+    tail twice in a row is nudged by a small seeded dyadic perturbation.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -329,7 +376,7 @@ def beta_table(
     strikes = 0
     while True:
         try:
-            ordered = _sorted_tails_above(threshold, budget)
+            ordered = _tails_down_to(threshold, budget)
         except UnresolvedComparisonError:
             strikes += 1
             if strikes >= 2:
@@ -351,23 +398,27 @@ def beta_table(
         if len(spec.index) == 0:
             value = Enclosure.exact_int(1)
         else:
-            value = _enclose(spec, Fraction(1, 2**48), budget)
+            value = _enclose(spec, _FIRST_WIDTH, budget)
         entries.append(BetaEntry(position, spec.index, value))
     return tuple(entries)
 
 
 def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
     """Number of tails certifiably above the value of ``spec`` (its own tail
-    excluded), by complete enumeration just below the value."""
+    excluded).
+
+    Extends the tail list to be complete just below the value.  A tail is
+    then listed, and its position is the count; any other value is placed by
+    bisection, in O(log n) certified decisions."""
     if len(spec.index) == 0:
         enclosure = Enclosure.exact_int(1)
     else:
-        enclosure = _enclose(spec, Fraction(1, 2**48), budget)
+        enclosure = _enclose(spec, _FIRST_WIDTH, budget)
     threshold = _quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
-    tails = [ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)]
-    return sum(
-        _decide(tail, spec, budget) is Verdict.GREATER for tail in tails if tail != spec
-    )
+    tails = _tails_down_to(threshold, budget)
+    if spec.tail_offset == 1:
+        return tails.index(spec)
+    return _bisect(tails, spec, budget)
 
 
 def rank_of_tail(
@@ -375,8 +426,8 @@ def rank_of_tail(
 ) -> int:
     """1-based position of ``t(index)_1`` in the decreasing tail order.
 
-    Counts, by complete enumeration just below the value, the tails
-    certifiably above it.  A tail that cannot be separated raises
+    Reads the position from the certified tail list, extended to be complete
+    just below the value.  A tail that cannot be separated raises
     :class:`~tvals.errors.UnresolvedComparisonError` (a collision would make
     the rank ill-defined).
     """
@@ -444,7 +495,7 @@ def band_prefix(
         [ValueSpec(index, 0) for index in collected], budget
     )
     return [
-        (spec.index, _enclose(spec, Fraction(1, 2**48), budget)) for spec in ordered
+        (spec.index, _enclose(spec, _FIRST_WIDTH, budget)) for spec in ordered
     ]
 
 
@@ -478,7 +529,7 @@ def phi(
         raise ValueError(f"index {index} is not admissible")
     spec = ValueSpec(index, 0)
     band = band_of_value(index, budget)
-    enclosure = _enclose(spec, Fraction(1, 2**48), budget)
+    enclosure = _enclose(spec, _FIRST_WIDTH, budget)
     alpha_threshold = enclosure.lo_fraction - enclosure.width()
     members = [
         ValueSpec(member, 0) for member, _ in band_prefix(band, alpha_threshold, budget)

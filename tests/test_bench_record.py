@@ -56,3 +56,12 @@ def test_cold_grid_times_the_direct_oracle():
     got = record.time_cold(ROOT, "evaluate_direct_many", (2, 1), 3)
     assert got["seconds"] > 0
     assert set(got) == {"seconds", "python", "tvals"}
+
+
+def test_cold_grid_times_the_order_queries():
+    assert {("phi", 0), ("beta_table", 12)} <= set(record.COLD_GRID)
+    assert record._name("phi", 0) == "phi((2, 1, 1, 1))"
+    assert record._name("beta_table", 12) == "beta_table(12)"
+    for kind, arg in (("phi", 0), ("beta_table", 3)):
+        got = record.time_cold(ROOT, kind, (2, 1), arg)
+        assert got["seconds"] > 0

@@ -202,3 +202,106 @@ def test_phi_band_positions_consistent_with_prefix():
     members = band_prefix(coordinate.band, value.lo_fraction)
     assert members[-1][0] == (2, 3)
     assert len(members) == coordinate.position
+
+
+# --- the certified tail list ------------------------------------------------
+
+def reference_tails_above(spec, budget):
+    """The linear count: every tail just below the value decided against it."""
+    if len(spec.index) == 0:
+        enclosure = Enclosure.exact_int(1)
+    else:
+        enclosure = order._enclose(spec, Fraction(1, 2**48), budget)
+    threshold = order._quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
+    tails = [ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)]
+    return sum(
+        order._decide(tail, spec, budget) is Verdict.GREATER
+        for tail in tails
+        if tail != spec
+    )
+
+
+def assert_certified_decreasing(specs):
+    for above, below in zip(specs, specs[1:]):
+        assert compare(above, below).verdict is Verdict.GREATER, (above, below)
+
+
+def test_ranks_and_bands_match_the_linear_count():
+    budget = PrecisionBudget()
+    for index in enumerate_admissible_up_to(6, include_empty=True):
+        assert rank_of_tail(index) == reference_tails_above(ValueSpec(index, 1), budget) + 1
+        if index:
+            assert band_of_value(index) == (
+                reference_tails_above(ValueSpec(index, 0), budget) + 1
+            )
+
+
+def test_tail_list_stays_certified_under_falling_thresholds(monkeypatch):
+    monkeypatch.setattr(order, "_TAIL_LISTS", {})
+    budget = PrecisionBudget()
+    for threshold in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 300), Fraction(1, 1000)):
+        specs = order._tails_down_to(threshold, budget)
+        # complete above the threshold, and nothing below it
+        assert set(specs) == {
+            ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)
+        }
+        assert_certified_decreasing(specs)
+    # a query above the floor reads the list as it is
+    assert order._tails_down_to(Fraction(1, 20), budget) is specs
+    swapped = list(specs)
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    with pytest.raises(AssertionError):
+        assert_certified_decreasing(swapped)
+
+
+def test_tail_list_matches_beta_table(monkeypatch):
+    monkeypatch.setattr(order, "_TAIL_LISTS", {})
+    budget = PrecisionBudget()
+    order._tails_down_to(Fraction(1, 20), budget)
+    table = beta_table.__wrapped__(24, budget)  # extends this fresh list
+    floor, specs = order._TAIL_LISTS[budget]
+    assert [spec.index for spec in specs[:24]] == [entry.index for entry in table]
+    assert [entry.index for entry in table[:5]] == list(BETA_INDICES.values())
+    # inserting into a shorter list gives the sort of the full enumeration
+    from_scratch = order._certified_insertion_sort(
+        [ValueSpec(index, 1) for index in enumerate_tails_above(floor, budget)],
+        budget,
+    )
+    assert specs == from_scratch
+
+
+def test_enclosure_memo_returns_the_computed_object():
+    spec, width, budget = ValueSpec((2, 1, 2), 1), Fraction(1, 2**48), PrecisionBudget()
+    assert order._enclose(spec, width, budget) is order._enclose(spec, width, budget)
+
+
+# --- depth cap --------------------------------------------------------------
+
+def _fine_depth_cap(threshold, offset, budget):
+    """The cap from mass terms at 2**-80, the finest width the cap reads."""
+    remaining = order._mass_total(offset, budget).hi_fraction
+    cap = 0
+    while remaining >= threshold:
+        cap += 1
+        spec = ValueSpec(order._depth_max_index(cap), offset)
+        remaining -= order._enclose(spec, Fraction(1, 2**80), budget).lo_fraction
+    return cap
+
+
+def test_depth_cap_is_sound_against_the_fine_mass_terms():
+    budget = PrecisionBudget()
+    for offset in (0, 1):
+        for a in range(1, 33):
+            for b in range(0, 32, 8):
+                threshold = Fraction(32 + b, 32 * 2**a)  # on the quantized grid
+                if threshold >= 1:
+                    continue
+                reference = _fine_depth_cap(threshold, offset, budget)
+                # sound: deeper indices fit under the fine mass bound too;
+                # the coarse terms cost at most one depth
+                assert reference <= order._depth_cap(threshold, offset, budget) <= reference + 1
+
+
+def test_depth_cap_below_the_coarse_range_uses_the_fine_terms():
+    threshold, budget = Fraction(1, 2**40), PrecisionBudget()
+    assert order._depth_cap(threshold, 1, budget) == _fine_depth_cap(threshold, 1, budget)
