@@ -9,10 +9,11 @@ Run from the repository root, once per source tree to compare::
 
 Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
 
-* ``cold``: the fixed grid below (the evaluator layers and the order
-  queries ``phi`` and ``beta_table``), each timed in a fresh Python process
-  (every ``lru_cache`` empty), ``REPEAT`` times, with ``mpmath`` blocked
-  so that a tree which still needs it fails here;
+* ``cold``: the fixed grid below (the evaluator layers, the order
+  queries ``phi`` and ``beta_table``, and a mid-size pairing scan), each
+  timed in a fresh Python process (every ``lru_cache`` empty), ``REPEAT``
+  times, with ``mpmath`` blocked so that a tree which still needs it fails
+  here;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
   ``python3 perfbench/run.py ... --trace 0`` output (one run per file, or
   several concatenated); across runs the median, quartiles and seeds;
@@ -45,6 +46,7 @@ COLD_GRID = (
     ("evaluate_direct_many", 5),
     ("phi", 0),
     ("beta_table", 12),
+    ("check_phi_conjecture", 8),
 )
 INDEX = (2, 1, 1, 1)
 REPEAT = 3
@@ -53,8 +55,9 @@ END_TO_END = ("setup_s", "throughput_rps", "latency_p50_s", "latency_tail_s", "p
 # runs in the child: ``kind`` is prefix_expansion (argument: the order),
 # evaluate_spec (argument: the exponent e of the target width 10**-e),
 # evaluate_direct_many (argument: the exponent e of max_outer 10**e, at
-# offsets 0 and 1), phi (argument unused) or beta_table (argument: the count,
-# the index unused)
+# offsets 0 and 1), phi (argument unused), beta_table (argument: the count,
+# the index unused) or check_phi_conjecture (argument: total_max t, with
+# weight_max = n_max = t - 1, the index unused)
 _CHILD = """
 import json, sys, time
 sys.modules["mpmath"] = None
@@ -63,6 +66,7 @@ import tvals
 from tvals.evaluator import evaluate_direct_many, evaluate_spec, prefix_expansion
 from tvals.indices import ValueSpec
 from tvals.order import beta_table, phi
+from tvals.verify import check_phi_conjecture
 kind, index, arg = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "prefix_expansion":
@@ -73,6 +77,8 @@ elif kind == "phi":
     phi(index)
 elif kind == "beta_table":
     beta_table(arg)
+elif kind == "check_phi_conjecture":
+    check_phi_conjecture(arg - 1, arg - 1, total_max=arg)
 else:
     evaluate_spec(ValueSpec(index, 0), Fraction(1, 10**arg))
 seconds = time.perf_counter() - start
@@ -99,6 +105,8 @@ def _name(kind: str, arg: int) -> str:
         return f"phi({INDEX})"
     if kind == "beta_table":
         return f"beta_table({arg})"
+    if kind == "check_phi_conjecture":
+        return f"check_phi_conjecture({arg - 1}, {arg - 1}, total_max={arg})"
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 

@@ -19,17 +19,20 @@ its entries cut the full values into bands.  This module provides:
 * :func:`phi` — the coordinates (band, position within band) of a full
   value; the order-reversing pairing between values and index pairs.
 
-Each order fact is certified once per budget.  One list holds the tails in
-certified decreasing order, complete above the lowest threshold enumerated
-so far; :func:`beta_table` reads its head, and ranks and bands count the
-tails above a value by bisecting into it.  Enclosures are memoised by
-(spec, width, budget).  Both stores live for the whole process.
+Each order fact is certified once per budget.  One list holds the tails,
+and one per band its members, in certified decreasing order, each complete
+above the lowest threshold walked so far.  :func:`beta_table` reads the
+head of the tail list, and ranks and bands count the tails above a value
+by bisecting into it; :func:`band_prefix` and :func:`phi` read the head of
+a band's list.  Enclosures are memoised by (spec, width, budget).  All
+these stores live for the whole process.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -333,30 +336,39 @@ def _certified_insertion_sort(
     return ordered
 
 
-# Per budget, the floor and the tail specs in certified decreasing order:
-# every tail above the floor is listed.  The empty tail is 1, so an absent
-# budget reads as floor 1 and no tails.
+# A certified list is a floor and specs in certified decreasing order: every
+# member of its set above the floor is listed.  An absent key has no floor
+# yet.  Tail lists are keyed by budget, band lists by (band, budget).
 _TAIL_LISTS: dict[PrecisionBudget, tuple[Fraction, list[ValueSpec]]] = {}
+_BAND_LISTS: dict[tuple[int, PrecisionBudget], tuple[Fraction, list[ValueSpec]]] = {}
+
+
+def _listed_down_to(
+    store: dict, key, threshold: Fraction, budget: PrecisionBudget, walk
+) -> list[ValueSpec]:
+    """The certified list ``store[key]``, complete above ``threshold``.
+
+    A threshold at or above the list's floor reads the list as it is; a lower
+    one runs ``walk(threshold)``, which yields every member above it, and
+    inserts the ones not yet listed by certified bisection.  The list is
+    replaced only once the whole extension is certified, so a raised
+    :class:`~tvals.errors.UnresolvedComparisonError` leaves it as it was."""
+    floor, specs = store.get(key, (None, []))
+    if floor is None or threshold < floor:
+        specs = list(specs)
+        listed = set(specs)
+        for spec in walk(threshold):
+            if spec not in listed:
+                specs.insert(_bisect(specs, spec, budget), spec)
+        store[key] = (threshold, specs)
+    return specs
 
 
 def _tails_down_to(threshold: Fraction, budget: PrecisionBudget) -> list[ValueSpec]:
-    """The certified tail list of ``budget``, complete above ``threshold``.
-
-    A threshold at or above the list's floor reads the list as it is; a lower
-    one enumerates at ``threshold`` and inserts the new tails by certified
-    bisection.  The list is replaced only once the whole extension is
-    certified, so a raised :class:`~tvals.errors.UnresolvedComparisonError`
-    leaves it as it was."""
-    floor, specs = _TAIL_LISTS.get(budget, (Fraction(1), []))
-    if threshold < floor:
-        specs = list(specs)
-        listed = set(specs)
-        for index in enumerate_tails_above(threshold, budget):
-            spec = ValueSpec(index, 1)
-            if spec not in listed:
-                specs.insert(_bisect(specs, spec, budget), spec)
-        _TAIL_LISTS[budget] = (threshold, specs)
-    return specs
+    """The certified tail list of ``budget``, complete above ``threshold``."""
+    return _listed_down_to(_TAIL_LISTS, budget, threshold, budget, lambda low: (
+        ValueSpec(index, 1) for index in enumerate_tails_above(low, budget)
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -414,6 +426,10 @@ def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
         enclosure = Enclosure.exact_int(1)
     else:
         enclosure = _enclose(spec, _FIRST_WIDTH, budget)
+    if enclosure.lo_fraction <= 0:
+        raise BudgetExceededError(
+            f"{spec} is too small to place: its first enclosure reaches down to 0"
+        )
     threshold = _quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
     tails = _tails_down_to(threshold, budget)
     if spec.tail_offset == 1:
@@ -449,10 +465,11 @@ def band_prefix(
     ``alpha`` must be certifiably above the band floor, which keeps the
     answer finite; values are returned with their enclosures, largest first.
 
-    Families sharing all but the final exponent decrease toward the tail of
-    their shared prefix, so a family is cut when that limit certifiably
-    leaves the band from above; any value that cannot be separated from the
-    band boundaries or from a sibling raises
+    Reads the head of the band's certified list, walked down to ``alpha``
+    when needed.  Families sharing all but the final exponent decrease toward
+    the tail of their shared prefix, so the walk cuts a family when that
+    limit certifiably leaves the band from above; any value that cannot be
+    separated from the band boundaries or from a sibling raises
     :class:`~tvals.errors.UnresolvedComparisonError`.
     """
     budget = budget or _DEFAULT_BUDGET
@@ -469,33 +486,36 @@ def band_prefix(
             f"band-{band} floor (tail of {floor_spec.index})"
         )
     top_spec = None if band == 1 else ValueSpec(table[band - 2].index, 1)
-    collected: list[MultiIndex] = []
-    # depth-1 values exceed 1 and live in band 1
-    for d in range(1 if band == 1 else 2, _depth_cap(alpha_lo, 0, budget) + 1):
-        for partial in _prefixes_above(d, d - 1, 0, alpha_lo, budget):
-            limit_spec = ValueSpec(partial, 1)  # exact value 1 at depth 1
-            below_top = top_spec is None
-            if not below_top and (
-                limit_spec == top_spec
-                or _decide(limit_spec, top_spec, budget) is Verdict.GREATER
-            ):
-                continue  # the whole family sits above the band
-            for candidate in _prefixes_above(d, d, 0, alpha_lo, budget, partial):
-                if not below_top:
-                    # values decrease along the family, so once one drops
-                    # below the band top the rest need no further comparison
-                    below_top = (
-                        _decide(ValueSpec(candidate, 0), top_spec, budget)
-                        is Verdict.LESS
-                    )
-                if below_top:
-                    collected.append(candidate)
 
-    ordered = _certified_insertion_sort(
-        [ValueSpec(index, 0) for index in collected], budget
+    def walk(threshold: Fraction) -> Iterator[ValueSpec]:
+        # depth-1 values exceed 1 and live in band 1
+        for d in range(1 if band == 1 else 2, _depth_cap(threshold, 0, budget) + 1):
+            for partial in _prefixes_above(d, d - 1, 0, threshold, budget):
+                limit_spec = ValueSpec(partial, 1)  # exact value 1 at depth 1
+                below_top = top_spec is None
+                if not below_top and (
+                    limit_spec == top_spec
+                    or _decide(limit_spec, top_spec, budget) is Verdict.GREATER
+                ):
+                    continue  # the whole family sits above the band
+                for candidate in _prefixes_above(d, d, 0, threshold, budget, partial):
+                    if not below_top:
+                        # values decrease along the family, so once one drops
+                        # below the band top the rest need no further comparison
+                        below_top = (
+                            _decide(ValueSpec(candidate, 0), top_spec, budget)
+                            is Verdict.LESS
+                        )
+                    if below_top:
+                        yield ValueSpec(candidate, 0)
+
+    members = _listed_down_to(_BAND_LISTS, (band, budget), alpha_lo, budget, walk)
+    # certified bisection: the members above alpha come first
+    above = bisect_left(
+        members, True, key=lambda spec: _decide(spec, alpha_lo, budget) is Verdict.LESS
     )
     return [
-        (spec.index, _enclose(spec, _FIRST_WIDTH, budget)) for spec in ordered
+        (spec.index, _enclose(spec, _FIRST_WIDTH, budget)) for spec in members[:above]
     ]
 
 
@@ -518,9 +538,10 @@ def phi(
     """Coordinates of a full value: its band and position within the band.
 
     The band is the least ``r`` whose ``r``-th tail lies certifiably below
-    the value; the position counts band members at or above it.  Defined for
-    nonempty admissible indices (the empty index is the band-1 accumulation
-    point itself).
+    the value; the position is its place in the band's certified list, read
+    down to just below the value at the coarsest refinement width that stays
+    certifiably above the band floor.  Defined for nonempty admissible
+    indices (the empty index is the band-1 accumulation point itself).
     """
     budget = budget or _DEFAULT_BUDGET
     if len(index) == 0:
@@ -529,18 +550,17 @@ def phi(
         raise ValueError(f"index {index} is not admissible")
     spec = ValueSpec(index, 0)
     band = band_of_value(index, budget)
-    enclosure = _enclose(spec, _FIRST_WIDTH, budget)
-    alpha_threshold = enclosure.lo_fraction - enclosure.width()
-    members = [
-        ValueSpec(member, 0) for member, _ in band_prefix(band, alpha_threshold, budget)
-    ]
-    above = sum(
-        _decide(member, spec, budget) is Verdict.GREATER
-        for member in members
-        if member != spec
-    )
-    if spec not in members:
+    floor_spec = ValueSpec(beta_table(band, budget)[band - 1].index, 1)
+    for width in _refinement_widths(budget):
+        enclosure = _enclose(spec, width, budget)
+        alpha = enclosure.lo_fraction - enclosure.width()
+        if alpha > 0 and _scalar_verdict(floor_spec, alpha, budget) is Verdict.LESS:
+            break
+    else:
+        raise BudgetExceededError(f"could not separate {spec} from the band-{band} floor")
+    members = [member for member, _ in band_prefix(band, alpha, budget)]
+    if index not in members:
         raise BudgetExceededError(
-            f"band prefix for {index} did not recover the index itself"
+            f"could not place within band {band}: {spec} is not listed"
         )
-    return PhiCoord(band, above + 1)
+    return PhiCoord(band, members.index(index) + 1)

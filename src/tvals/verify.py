@@ -39,10 +39,10 @@ from .order import (
     ComparisonOutcome,
     Verdict,
     band_of_value,
-    band_prefix,
     beta_table,
     compare,
     enumerate_tails_above,
+    phi,
     rank_of_tail,
 )
 
@@ -695,9 +695,9 @@ def check_phi_conjecture(
     """Coordinates of appended-exponent values against two predictions.
 
     For every admissible ``k`` of weight at most ``weight_max`` (including
-    the empty index) and appended exponent ``n <= n_max``, computes the
-    actual coordinates (band, position) of the value of ``k + (n,)`` and
-    compares with:
+    the empty index) and appended exponent ``n <= n_max``, places the value
+    of ``k + (n,)`` with :func:`~tvals.order.phi` and compares its actual
+    coordinates (band, position) with:
 
     * reading A — band predicted as the rank of the tail of ``k``;
     * reading B — band predicted as the least rank whose tail lies
@@ -729,12 +729,6 @@ def check_phi_conjecture(
                 reading_b = 2  # the full value 1 equals the rank-1 tail exactly
             else:
                 reading_b = band_of_value(k, budget)
-            deepest = evaluate_spec(
-                ValueSpec(k + (n_hi,), 0), Fraction(1, 2**48), budget
-            )
-            alpha = deepest.lo_fraction - deepest.width()
-            band_lo = band_of_value(k + (n_hi,), budget)
-            members = band_prefix(band_lo, alpha, budget)
         except (UnresolvedComparisonError, BudgetExceededError) as exc:
             findings.append(
                 Finding(
@@ -744,12 +738,11 @@ def check_phi_conjecture(
                 )
             )
             continue
-        position_of = {index: i + 1 for i, (index, _) in enumerate(members)}
         for n in range(n_lo, n_hi + 1):
             member = k + (n,)
             try:
-                band = band_of_value(member, budget)
-            except UnresolvedComparisonError as exc:
+                coordinate = phi(member, budget)
+            except (ValueError, UnresolvedComparisonError, BudgetExceededError) as exc:
                 findings.append(
                     Finding(
                         subject=index_str(member),
@@ -758,35 +751,7 @@ def check_phi_conjecture(
                     )
                 )
                 continue
-            position = position_of.get(member)
-            if position is None or band != band_lo:
-                # the family member fell outside the enumerated band slice;
-                # re-derive its position in its own band
-                try:
-                    own_members = band_prefix(
-                        band,
-                        evaluate_spec(
-                            ValueSpec(member, 0), Fraction(1, 2**48), budget
-                        ).lo_fraction
-                        - Fraction(1, 2**40),
-                        budget,
-                    )
-                    own = [idx for idx, _ in own_members]
-                    if member not in own:
-                        raise BudgetExceededError(
-                            "band prefix did not recover the member itself"
-                        )
-                    position = own.index(member) + 1
-                except (ValueError, UnresolvedComparisonError, BudgetExceededError) as exc:
-                    findings.append(
-                        Finding(
-                            subject=index_str(member),
-                            verdict="unresolved",
-                            detail=f"could not place within band {band}: {exc}",
-                        )
-                    )
-                    continue
-            actual = (band, position)
+            actual = (coordinate.band, coordinate.position)
             if len(k) == 0:
                 expected = (1, n - 1)
                 agree_a = actual == expected

@@ -237,6 +237,14 @@ def test_phi_rejects_empty_index(capsys):
     assert err
 
 
+def test_phi_below_the_first_width_is_one_error_line(capsys):
+    # the value lies below 2^-48, so its first enclosure reaches down to 0
+    code, out, err = run(capsys, "phi", "--index", "30,30,30")
+    assert code == UNRESOLVED
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: 30,30,30 ")
+
+
 def test_chain_reports_symbolic_top(capsys):
     code, out, _ = run(capsys, "chain", "--blocks", "2", "--per-block", "3")
     assert code == OK

@@ -1,5 +1,6 @@
 """Certified comparison, threshold enumeration, ranks, bands, and pairing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,22 @@ def test_phi_band_positions_consistent_with_prefix():
     assert len(members) == coordinate.position
 
 
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_phi_next_to_the_band_floor(n):
+    # T(2,n) lies within about 3^-n of the band-2 floor t(2)_1, closer than
+    # the first refinement width for n = 30 and 40
+    got = phi((2, n))
+    assert (got.band, got.position) == (2, n)
+
+
+def test_values_below_the_first_width_exceed_the_budget():
+    # both values lie below 2^-48, so the first enclosure reaches down to 0
+    with pytest.raises(BudgetExceededError, match=r"^tail:1:30,30 is too small to place"):
+        rank_of_tail((30, 30))
+    with pytest.raises(BudgetExceededError, match=r"^30,30,30 is too small"):
+        phi((30, 30, 30))
+
+
 # --- the certified tail list ------------------------------------------------
 
 def reference_tails_above(spec, budget):
@@ -305,3 +322,64 @@ def test_depth_cap_is_sound_against_the_fine_mass_terms():
 def test_depth_cap_below_the_coarse_range_uses_the_fine_terms():
     threshold, budget = Fraction(1, 2**40), PrecisionBudget()
     assert order._depth_cap(threshold, 1, budget) == _fine_depth_cap(threshold, 1, budget)
+
+
+# --- the certified band lists -----------------------------------------------
+
+def _band_alphas(band):
+    """Cutoffs between the band floor and its top, closing in on the floor."""
+    table = beta_table(band)
+    floor = table[band - 1].value.hi_fraction
+    top = Fraction(2) if band == 1 else table[band - 2].value.lo_fraction
+    return [floor + (top - floor) / 4**j for j in range(1, 11)]
+
+
+def test_band_lists_answer_like_a_fresh_walk(monkeypatch):
+    budget = PrecisionBudget()
+    shared = {}
+    queries = [(band, alpha) for band in (1, 2, 3, 4) for alpha in _band_alphas(band)]
+    random.Random(12).shuffle(queries)
+    for band, alpha in queries:
+        monkeypatch.setattr(order, "_BAND_LISTS", shared)
+        got = band_prefix(band, alpha)
+        monkeypatch.setattr(order, "_BAND_LISTS", {})
+        assert got == band_prefix(band, alpha), (band, alpha)
+    for band in (1, 2, 3, 4):
+        floor, specs = shared[(band, budget)]
+        assert floor == min(_band_alphas(band))
+        assert_certified_decreasing(specs)
+
+
+def test_phi_reads_the_same_coordinates_in_any_order(monkeypatch):
+    indices = enumerate_admissible_up_to(6)
+    random.Random(6).shuffle(indices)
+    monkeypatch.setattr(order, "_BAND_LISTS", {})
+    shared = {index: phi(index) for index in indices}
+    for index in indices:
+        monkeypatch.setattr(order, "_BAND_LISTS", {})
+        assert phi(index) == shared[index], index
+
+
+def test_unresolved_band_walk_leaves_the_list_as_it_was(monkeypatch):
+    monkeypatch.setattr(order, "_BAND_LISTS", {})
+    budget = PrecisionBudget()
+    alphas = _band_alphas(2)
+    band_prefix(2, alphas[3])
+    before = order._BAND_LISTS[(2, budget)]
+    assert [spec.index for spec in before[1]] == [(2, 1), (2, 2), (2, 3)]
+    true_decide = order._decide
+    planted = ValueSpec((2, 6), 0)
+
+    def decide(left, right, budget):
+        if left == planted:
+            raise UnresolvedComparisonError("planted", left=left, right=right)
+        return true_decide(left, right, budget)
+
+    # the walk down to alphas[7] lists (2,4) and (2,5) before it meets (2,6)
+    monkeypatch.setattr(order, "_decide", decide)
+    with pytest.raises(UnresolvedComparisonError, match="planted"):
+        band_prefix(2, alphas[7])
+    assert order._BAND_LISTS[(2, budget)] is before
+    assert [spec.index for spec in before[1]] == [(2, 1), (2, 2), (2, 3)]
+    monkeypatch.setattr(order, "_decide", true_decide)
+    assert [index for index, _ in band_prefix(2, alphas[7])] == [(2, n) for n in range(1, 9)]

@@ -5,9 +5,10 @@ refinement schedule from its arguments alone (plus a fixed seed where random
 pairs are drawn), so identical calls must reproduce identical reports.
 """
 
+import hashlib
 from fractions import Fraction
 
-from tvals import verify
+from tvals import order
 from tvals.verify import (
     Finding,
     ScanReport,
@@ -120,18 +121,27 @@ def test_pairing_records_band_escape():
 def test_pairing_unplaceable_member_is_unresolved(monkeypatch):
     # a member missing from its band's enumerated prefix has no certified
     # position, so it must not be scored as a counterexample
-    true_band_of_value = verify.band_of_value
+    true_band_of_value = order.band_of_value
 
     def shifted_band_of_value(index, budget=None):
         band = true_band_of_value(index, budget)
         return band + 1 if index == (2, 1, 1, 1) else band
 
-    monkeypatch.setattr(verify, "band_of_value", shifted_band_of_value)
+    monkeypatch.setattr(order, "band_of_value", shifted_band_of_value)
     report = check_phi_conjecture(weight_max=4, n_max=1)
     (member,) = [f for f in report.findings if f.subject == "2,1,1,1"]
     assert member.verdict == "unresolved"
     assert "could not place within band 5" in member.detail
     assert all(f.data["actual"][1] is not None for f in report.findings if "actual" in f.data)
+
+
+def test_mid_size_pairing_report_is_pinned():
+    # families whose members spread over several bands; the report must not
+    # depend on the order in which bands are walked and placed
+    report = check_phi_conjecture(weight_max=7, n_max=7, total_max=8)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "525b93c62fa63ae6de046ba6bcb16f527ca27ee656f5bbeca0865faf131a9fff"
+    )
 
 
 def test_pairing_scan_is_replayable():
