@@ -244,7 +244,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             enclosure = evaluate_direct(spec, max_outer=_DIRECT_MAX_OUTER)
         else:
             enclosure = evaluate_spec(spec, target, budget)
-    except DivergentError as exc:
+    except ValueError as exc:
+        # a DivergentError, or an offset or depth beyond the oracle's terms
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceededError as exc:

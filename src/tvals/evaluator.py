@@ -12,11 +12,11 @@ Two independent evaluators are provided:
   recurrence steps against the cost of building the expansions, and a
   precision ladder retries with more bits until the requested width is met.
 * :func:`evaluate_direct` — the reference oracle.  It sums the defining
-  nested series directly in scaled-integer fixed point with directed
-  rounding, one level at a time over blocks of outer values, and adds an
-  explicit rational over-estimate of the discarded region, using only
-  integer arithmetic.  :func:`evaluate_direct_family` sums many indices in
-  one sweep.
+  nested series directly in scaled-integer fixed point, one floored pass
+  per level over blocks of outer values, and adds an a-priori bound on
+  that pass's rounding and an explicit rational over-estimate of the
+  discarded region, using only integer arithmetic.
+  :func:`evaluate_direct_family` sums many indices in one sweep.
 
 The expansion machinery rests on three audited facts: the Euler--Maclaurin
 remainder for a completely monotone summand is enveloped by the first
@@ -461,17 +461,28 @@ def evaluate_direct_family(
 
     Returns ``{index: {offset: enclosure}}``.  In scaled integers at
     ``2**fixed_bits``, level ``j`` of an index adds at each ``m`` the partial
-    sum of level ``j+1`` below ``m`` divided by ``(2m-1)**k_j``, floored for
-    the lower endpoint and ceiled for the upper; the innermost level adds
-    ``1`` the same way once ``m`` exceeds the offset.  A level depends only
-    on the suffix of the index inward of it, so indices that share a suffix
-    share its levels.
+    sum of level ``j+1`` below ``m`` divided by ``(2m-1)**k_j``, floored;
+    the innermost level adds ``1`` the same way once ``m`` exceeds the
+    offset.  A level depends only on the suffix of the index inward of it,
+    so indices that share a suffix share its levels.
 
-    The outer values run in blocks of ``_BLOCK``.  Per block, offset and
-    endpoint, each suffix (parents first) makes one pass of floor divisions
-    and one of running sums over its parent's block, and carries its last
-    partial sum into the next block.  The discarded-region bound is added
-    to every upper endpoint at the end.
+    The outer values run in blocks of ``_BLOCK``.  Per block and offset,
+    each suffix (parents first) makes one pass of floor divisions and one of
+    running sums over its parent's block, and carries its last partial sum
+    into the next block.
+
+    That floored sum is the lower endpoint.  The upper endpoint is it plus
+    ``d * max_outer`` units of ``2**-fixed_bits`` plus the discarded-region
+    bound, by an a-priori bound on the rounding.  Write ``S_j(m)`` for the
+    exact scaled partial sum of level ``j`` up to ``m``, ``L_j(m)`` for the
+    floored one and ``e_j(m) = S_j(m) - L_j(m)``.  Level ``d``, the constant
+    root, is exact: ``e_d = 0``.  Every quotient is nonnegative and a floor
+    loses less than one unit, so ``e_j(0) = 0`` and
+    ``0 <= e_j(m) <= e_j(m-1) + e_{j+1}(m-1) / (2m-1)**k_j + 1``.
+    If ``e_{j+1}(m) <= (d-j-1) m`` for all ``m``, then ``k_j >= 1`` and
+    ``(m-1)/(2m-1) <= 1/2`` bound each step by ``(d-j-1)/2 + 1 <= d-j``, so
+    ``e_j(m) <= (d-j) m``.  Down from ``j = d-1`` this gives
+    ``0 <= e_0(max_outer) <= d * max_outer``.
     """
     offsets = list(dict.fromkeys(offsets))
     if not offsets:
@@ -479,32 +490,40 @@ def evaluate_direct_family(
     if min(offsets) < 0:
         raise ValueError("tail_offset must be non-negative")
     indices = [tuple(index) for index in indices]
+    # checked and bounded before the sweep, so that bad input fails at once
+    discards = {}
     for index in indices:
-        if index and index[0] < 2:
+        if not index:
+            continue
+        if min(index) < 1:
+            raise ValueError(f"exponents must be positive integers: {index}")
+        if index[0] < 2:
             raise DivergentError(
                 f"index {index} is inadmissible: the outer sum diverges"
             )
-        if index and max_outer < max(offsets) + len(index) + 2:
-            raise ValueError("max_outer too small for this depth and offset")
+        need = max(offsets) + len(index) + 2
+        if max_outer < need:
+            raise ValueError(
+                f"max_outer too small for this depth and offset: {index} at "
+                f"offset {max(offsets)} needs at least {need}, got {max_outer}"
+            )
+        discards[index] = _discard_bound(index, max_outer)
     suffixes = {index[j:] for index in indices for j in range(len(index))}
     children: dict[MultiIndex, list[MultiIndex]] = {}
     for suffix in suffixes:
         children.setdefault(suffix[1:], []).append(suffix)
-    # one lane per offset and endpoint: the lower endpoint, then the upper
-    # one negated, so that its ceiling is a floor division too
     one = 1 << fixed_bits
-    lanes = [(n, sign * one) for n in offsets for sign in (1, -1)]
-    # per suffix and lane: the partial sum over the blocks swept so far
-    sums = {suffix: [0] * len(lanes) for suffix in suffixes}
+    # per suffix and offset: the floored partial sum over the blocks swept
+    sums = {suffix: [0] * len(offsets) for suffix in suffixes}
     exponents = {suffix[0] for suffix in suffixes}
     for start in range(1, max_outer + 1, _BLOCK):
         size = min(_BLOCK, max_outer + 1 - start)
         odds = range(2 * start - 1, 2 * (start + size) - 1, 2)
         powers = {k: [odd**k for odd in odds] for k in exponents}
-        for lane, (n, unit) in enumerate(lanes):
+        for lane, n in enumerate(offsets):
             # the empty suffix below m: 1 once m exceeds the offset
             zeros = min(max(n + 1 - start, 0), size)
-            root = [0] * zeros + [unit] * (size - zeros)
+            root = [0] * zeros + [one] * (size - zeros)
             # depth first, so that a parent's block is dropped once its
             # last child has read it
             stack = [(suffix, root) for suffix in children.get((), ())]
@@ -517,18 +536,17 @@ def evaluate_direct_family(
                 sums[suffix][lane] = block[-1]
                 stack.extend((child, block) for child in children.get(suffix, ()))
 
-    scale = Fraction(1, one)
     out: dict[MultiIndex, dict[int, Enclosure]] = {}
     for index in indices:
         if not index:
             out[index] = {n: Enclosure.exact_int(1) for n in offsets}
             continue
-        discard = _discard_bound(index, max_outer)
+        slack = len(index) * max_outer  # the rounding bound proved above
         out[index] = {
             n: Enclosure.from_fraction_pair(
-                lo * scale, -nhi * scale + discard, fixed_bits
+                Fraction(lo, one), Fraction(lo + slack, one) + discards[index], fixed_bits
             )
-            for n, lo, nhi in zip(offsets, sums[index][::2], sums[index][1::2])
+            for n, lo in zip(offsets, sums[index])
         }
     return out
 

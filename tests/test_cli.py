@@ -71,6 +71,22 @@ def test_eval_rejects_divergent_index(cache_path, capsys):
     assert "1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--index", "2,1", "--tail", "999999"), "max_outer too small"),
+        (("--index", ",".join(["2"] + ["1"] * 18)), "term budget too small"),
+    ],
+    ids=["offset", "depth-19"],
+)
+def test_eval_direct_beyond_its_terms_is_one_error_line(argv, message, cache_path, capsys):
+    code, out, err = run(capsys, "eval", *argv, "--method", "direct", "--no-cache")
+    assert code == INVALID
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_eval_populates_and_reuses_cache(cache_path, capsys):

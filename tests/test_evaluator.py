@@ -5,6 +5,7 @@ direct summation routine at high term count, then pinned; the accelerated
 evaluator must enclose them independently.
 """
 
+import functools
 import hashlib
 import math
 import re
@@ -143,12 +144,34 @@ def test_direct_rejects_offsets_that_value_spec_rejects(offsets, message):
         ValueSpec((2, 1), -1)
 
 
+def test_direct_rejects_nonpositive_exponents():
+    # the a-priori rounding bound needs every exponent to be at least 1
+    with pytest.raises(ValueError, match="exponents must be positive"):
+        evaluate_direct_family([(2, 1), (2, 0)], (0,), 100)
+
+
+@pytest.mark.parametrize(
+    "index, offset, message",
+    [((2, 1), 10**6 - 1, "max_outer too small"), ((2,) + (1,) * 18, 0, "term budget too small")],
+    ids=["offset", "depth-19"],
+)
+def test_direct_rejects_before_the_sweep(index, offset, message, monkeypatch):
+    def swept(a, b):
+        raise AssertionError("the sweep ran before the input was checked")
+
+    monkeypatch.setattr(evaluator, "floordiv", swept)
+    with pytest.raises(ValueError, match=message):
+        evaluate_direct_family([(3,), index], (offset,), 10**6)
+
+
 # --- the oracle's block sweep against the per-outer-value loop ---------------
 
-def reference_direct_many(index, offsets, max_outer, fixed_bits=80):
-    """The oracle as one Python loop per outer value, offset and level: each
-    level adds the previous outer value's partial sum of the level inward of
-    it, floored and ceiled after division by ``(2m-1)**k``."""
+def reference_lanes(index, offsets, max_outer, fixed_bits=80):
+    """The oracle as it was before its a-priori rounding bound: one Python
+    loop per outer value, offset and level, where each level adds the
+    previous outer value's partial sum of the level inward of it, floored
+    and ceiled after division by ``(2m-1)**k``, in two lanes.  Returns the
+    scaled ``(floor, ceiling)`` sums per offset."""
     d = len(index)
     one = 1 << fixed_bits
     chains = {n: [[0, 0] for _ in index] for n in offsets}
@@ -163,12 +186,19 @@ def reference_direct_many(index, offsets, max_outer, fixed_bits=80):
                 p = odd ** index[j]
                 chain[j][0] += inner[0] // p
                 chain[j][1] += -((-inner[1]) // p)
+    return {n: tuple(chain[0]) for n, chain in chains.items()}
+
+
+def reference_direct_many(index, offsets, max_outer, fixed_bits=80):
+    """The two-lane reference's enclosures: its floor and ceiling sums, the
+    latter plus the discarded-region bound."""
+    one = 1 << fixed_bits
     discard = evaluator._discard_bound(index, max_outer)
     return {
         n: Enclosure.from_fraction_pair(
-            Fraction(chain[0][0], one), Fraction(chain[0][1], one) + discard, fixed_bits
+            Fraction(lo, one), Fraction(hi, one) + discard, fixed_bits
         )
-        for n, chain in chains.items()
+        for n, (lo, hi) in reference_lanes(index, offsets, max_outer, fixed_bits).items()
     }
 
 
@@ -197,9 +227,25 @@ def test_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits):
     assert max_outer <= 1600 and max_outer % BLOCK
     offsets = [n for n in EDGE_OFFSETS if n + len(index) + 2 <= max_outer]
     got = evaluate_direct_many(index, offsets, max_outer, fixed_bits)
+    lanes = reference_lanes(index, offsets, max_outer, fixed_bits)
     want = reference_direct_many(index, offsets, max_outer, fixed_bits)
     assert list(got) == offsets
-    assert all(same_enclosure(got[n], want[n]) for n in offsets)
+    one = 1 << fixed_bits
+    discard = evaluator._discard_bound(index, max_outer)
+    for n in offsets:
+        floor_sum = lanes[n][0]
+        # the lower endpoint is the reference's floor lane, bit for bit, and
+        # the upper one the a-priori rounding bound on top of that lane
+        bound = Enclosure.from_fraction_pair(
+            Fraction(floor_sum, one),
+            Fraction(floor_sum + len(index) * max_outer, one) + discard,
+            fixed_bits,
+        )
+        assert same_enclosure(got[n], bound)
+        assert (got[n].lo_fraction, got[n].precision_bits) == (
+            want[n].lo_fraction, want[n].precision_bits
+        )
+        assert got[n].overlaps(want[n])
 
 
 def test_family_sweep_equals_one_index_sweeps():
@@ -221,17 +267,103 @@ def test_family_handles_the_empty_index_and_shared_suffixes():
 
 def test_oracle_enclosures_are_frozen():
     # SHA-256 of the 62 enclosures of the weight <= 6 indices at offsets 0 and
-    # 1, computed with the per-outer-value loop before the block sweep
+    # 1.  The lower-endpoint digest was computed with the two-lane sweep (and,
+    # before that, the per-outer-value loop), so the floor lane is unchanged;
+    # the full digest pins the upper endpoints of the a-priori rounding bound.
     indices = enumerate_admissible_up_to(6)
     family = evaluate_direct_family(indices, (0, 1), 2 * 10**4)
-    digest = hashlib.sha256()
+    lower, full = hashlib.sha256(), hashlib.sha256()
     for index in indices:
         for n in (0, 1):
             e = family[index][n]
-            digest.update(repr((index, n, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
-    assert digest.hexdigest() == (
-        "951660203567683c8b8f0cd0757126df73f3dff682ec99e13562efe705d0ba5e"
+            lower.update(repr((index, n, e.lo_fraction)).encode())
+            full.update(repr((index, n, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
+    assert lower.hexdigest() == (
+        "ea472e5d56cfedc39d9e7bb800969872e1f55d06f66c66c38ece9a7c978c8ee8"
     )
+    assert full.hexdigest() == (
+        "627b15380d2f927b16ada8d1a8a34e0be6bac108298a964efcf2830d61396248"
+    )
+
+
+# --- the oracle's a-priori rounding bound against exact sums ----------------
+
+EXACT_MAX_OUTER = 300
+EXACT_OFFSETS = (0, 1, BLOCK)
+EXACT_INDICES = enumerate_admissible_up_to(6)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_truncated_sums():
+    """``{(index, n): S}`` with ``S`` the exact sum over
+    ``EXACT_MAX_OUTER >= m_1 > ... > m_d > n`` of ``prod (2m_i-1)**-k_i``,
+    one ``Fraction`` loop per outer value and suffix."""
+    indices, max_outer = EXACT_INDICES, EXACT_MAX_OUTER
+    # longer suffixes first, so that each reads the shorter one below m
+    suffixes = sorted(
+        {index[j:] for index in indices for j in range(len(index))}, key=len, reverse=True
+    )
+    out = {}
+    for n in EXACT_OFFSETS:
+        sums = dict.fromkeys(suffixes, Fraction(0))
+        for m in range(1, max_outer + 1):
+            odd = 2 * m - 1
+            for suffix in suffixes:
+                inner = sums[suffix[1:]] if len(suffix) > 1 else Fraction(int(m > n))
+                sums[suffix] += inner / odd ** suffix[0]
+        out.update(((index, n), sums[index]) for index in indices)
+    return out
+
+
+class RawEndpoints:
+    """Stands in for ``Enclosure`` in the sweep: keeps the exact endpoints it
+    is built from, before any outward rounding."""
+
+    @staticmethod
+    def from_fraction_pair(lo, hi, precision_bits):
+        return lo, hi
+
+
+def rounding_misses(monkeypatch, fixed_bits=80):
+    """Run the real sweep at ``EXACT_MAX_OUTER`` and list the ``(index, n)``
+    whose floor lane ``L`` is not within ``L <= S <= L + d * max_outer``
+    units of the exact ``S``, or whose endpoints do not reach from ``L`` up
+    to ``S`` plus the discarded-region bound."""
+    max_outer, one = EXACT_MAX_OUTER, 1 << fixed_bits
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "Enclosure", RawEndpoints)
+        family = evaluate_direct_family(EXACT_INDICES, EXACT_OFFSETS, max_outer, fixed_bits)
+    misses = []
+    for (index, n), exact in exact_truncated_sums().items():
+        lo, hi = family[index][n]
+        floor_sum, s = lo * one, exact * one
+        assert floor_sum.denominator == 1
+        within = floor_sum <= s <= floor_sum + len(index) * max_outer
+        discard = evaluator._discard_bound(index, max_outer)
+        if not (within and exact + discard <= hi):
+            misses.append((index, n))
+    return misses
+
+
+def test_rounding_bound_holds_against_exact_sums(monkeypatch):
+    assert EXACT_MAX_OUTER % BLOCK and len(exact_truncated_sums()) == 3 * 31
+    assert rounding_misses(monkeypatch) == []
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        # one unit too many per floor: the lower endpoint rises above S
+        lambda a, b: a // b + 1,
+        # more units lost per floor than the depth of any index (at most 5):
+        # the upper endpoint falls below S
+        lambda a, b: a // b - 6,
+    ],
+    ids=["excess", "deficit"],
+)
+def test_planted_rounding_faults_are_rejected(fault, monkeypatch):
+    monkeypatch.setattr(evaluator, "floordiv", fault)
+    assert len(rounding_misses(monkeypatch)) == 3 * 31
 
 
 # --- determinism, budgets, errors -------------------------------------------
