@@ -17,6 +17,8 @@ Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
   ``python3 perfbench/run.py ... --trace 0`` output (one run per file, or
   several concatenated); across runs the median, quartiles and seeds;
+* ``traced``: the per-layer metrics of saved ``--trace 1`` output, each
+  the median over that workload's traced runs;
 * ``pytest``: the call durations that a saved ``pytest --durations=N``
   log lists for the acceptance criteria.
 
@@ -125,8 +127,10 @@ def cold_rows(tree: Path) -> list[dict]:
     return rows
 
 
-def parse_perfbench(text: str) -> list[dict]:
-    """Report, failure count and end-to-end values of each untraced run in ``text``."""
+def parse_perfbench(text: str, trace: int = 0) -> list[dict]:
+    """Report, failure count and metric values of each run in ``text`` made
+    with ``--trace trace``: the end-to-end metrics untraced, the per-layer
+    ones traced."""
     runs, report = [], None
     for line in text.splitlines():
         if not line.startswith("{"):
@@ -134,20 +138,37 @@ def parse_perfbench(text: str) -> list[dict]:
         payload = json.loads(line)
         if "report" in payload:
             report = payload["report"]
-        elif "metrics" in payload and report is not None and report["trace"] == 0:
-            values = {name: payload["metrics"][name]["value"] for name in END_TO_END}
+        elif "metrics" in payload and report is not None and report["trace"] == trace:
+            values = {name: metric["value"] for name, metric in payload["metrics"].items()}
             runs.append({"report": report, "failed": payload["failed"], "values": values})
             report = None
     return runs
 
 
-def perfbench_rows(paths: list[Path]) -> list[dict]:
+def _rows_by_workload(kind: str, paths: list[Path], trace: int) -> list[tuple[dict, list[dict]]]:
+    """One row head per workload (its runs, seeds, failures and stamp) with
+    the runs of that workload made with ``--trace trace``."""
     by_workload: dict[str, list[dict]] = {}
     for path in paths:
-        for run in parse_perfbench(path.read_text()):
+        for run in parse_perfbench(path.read_text(), trace):
             by_workload.setdefault(run["report"]["workload"], []).append(run)
-    rows = []
+    out = []
     for workload, runs in sorted(by_workload.items()):
+        first = runs[0]["report"]
+        out.append(({
+            "kind": kind,
+            "name": workload,
+            "runs": len(runs),
+            "seeds": [run["report"]["seed"] for run in runs],
+            "failed": sum(run["failed"] for run in runs),
+            "stamp": {"python": first["python"], "tvals": first["tvals"]},
+        }, runs))
+    return out
+
+
+def perfbench_rows(paths: list[Path]) -> list[dict]:
+    rows = []
+    for row, runs in _rows_by_workload("perfbench", paths, trace=0):
         median, quartiles = {}, {}
         for name in END_TO_END:
             values = sorted(run["values"][name] for run in runs)
@@ -155,17 +176,17 @@ def perfbench_rows(paths: list[Path]) -> list[dict]:
             if len(values) >= 2:
                 q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
                 quartiles[name] = [q1, q3]
-        first = runs[0]["report"]
-        rows.append({
-            "kind": "perfbench",
-            "name": workload,
-            "runs": len(runs),
-            "seeds": [run["report"]["seed"] for run in runs],
-            "failed": sum(run["failed"] for run in runs),
-            "median": median,
-            "quartiles": quartiles,
-            "stamp": {"python": first["python"], "tvals": first["tvals"]},
-        })
+        rows.append(dict(row, median=median, quartiles=quartiles))
+    return rows
+
+
+def traced_rows(paths: list[Path]) -> list[dict]:
+    """Per workload, the median of each per-layer metric over the traced runs."""
+    rows = []
+    for row, runs in _rows_by_workload("traced", paths, trace=1):
+        names = runs[0]["values"]
+        median = {name: statistics.median(run["values"][name] for run in runs) for name in names}
+        rows.append(dict(row, median=median))
     return rows
 
 
@@ -195,7 +216,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pytest", type=Path, default=None, help="saved pytest --durations log")
     args = parser.parse_args(argv)
     rows = cold_rows(args.tree.resolve())
-    rows += perfbench_rows(args.perfbench)
+    rows += perfbench_rows(args.perfbench) + traced_rows(args.perfbench)
     if args.pytest is not None:
         rows += pytest_rows(args.pytest, rows[0]["stamp"])
     for row in rows:
@@ -206,7 +227,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({"rows": kept + rows}, indent=1) + "\n")
     for row in rows:
         value = row.get("median_s", row.get("seconds", row.get("median", {}).get("throughput_rps")))
-        print(f"{args.label:8s} {row['kind']:9s} {row['name']:50s} {value:.4g}")
+        shown = f"{value:.4g}" if value is not None else f"{row['runs']} runs"
+        print(f"{args.label:8s} {row['kind']:9s} {row['name']:50s} {shown}")
     return 0
 
 

@@ -245,8 +245,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         else:
             enclosure = evaluate_spec(spec, target, budget)
     except ValueError as exc:
-        # a DivergentError, or an offset or depth beyond the oracle's terms
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if args.method == "direct" and not isinstance(exc, DivergentError):
+            # an offset or depth beyond the oracle's terms; the library's
+            # advice after ";" to raise max_outer has no option here
+            message = (
+                f"--method direct sums at most {_DIRECT_MAX_OUTER:,} outer terms "
+                f"and cannot certify {spec} ({message.partition(';')[0]}); "
+                "use the default method instead"
+            )
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceededError as exc:
         if exc.partial is None:

@@ -8,9 +8,10 @@ Two independent evaluators are provided:
   remainder is provably small, and walks the exact tail recurrence
   ``t(k)_n = t(k)_{n+1} + (2n+1)^(-k_d) * t(k_1..k_{d-1})_{n+1}`` downward in
   scaled-integer fixed point, flooring lower and ceiling upper endpoints.
-  A planner picks the expansion order and seed offset by pricing the
-  recurrence steps against the cost of building the expansions, and a
-  precision ladder retries with more bits until the requested width is met.
+  A planner prices each expansion order from an estimate of its remainder
+  bound, weighing the recurrence steps against the cost of building the
+  expansions, and builds only the order it picks; a precision ladder
+  retries with more bits until the requested width is met.
 * :func:`evaluate_direct` — the reference oracle.  It sums the defining
   nested series directly in scaled-integer fixed point, one floored pass
   per level over blocks of outer values, and adds an a-priori bound on
@@ -226,55 +227,84 @@ def _kth_root_ceil(x: int, k: int) -> int:
 
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_STEPS = 20_000
-# Cost of building the expansions of one order, per order**3, in units of
-# one recurrence step of one prefix at 512 bits.  Measured cold on CPython
-# 3.11 (2 vCPU, one step about 1 us), building every prefix of a depth-2 to
-# depth-4 index in integers takes 7-12 units per order**2 at orders 16-128,
-# that is 0.5-0.7 units per order**3 at order 16 and 0.06-0.08 at order 128.
-# The constant is not refitted to these yet, so plans stay where they are.
-# The depth-1 expansions are charged the same so that a cheap base
-# expansion never pulls in Bernoulli numbers of a high order.
-_BUILD_COST = 2
+# Cost of building the expansions of one order, per order**2, in units of
+# one recurrence step of one prefix (about 1 us at 64 to 512 bits).
+# Measured on CPython 3.11 (2 vCPU) at orders 8-128: building every prefix
+# of a depth-2 to depth-4 index takes 0.5-3.4 units per order**2 once the
+# depth-1 base expansions, which all indices share, are cached, and 9-16
+# units from empty caches.
+_BUILD_COST = 4
+
+
+def _growth_bits(order: int, base: int, levels: int) -> int:
+    """``floor(log2)`` of ``((order/base)**order / (8/base)**8)**levels``."""
+    num = (order**order * base**8) ** levels
+    return (num // (base**order * 8**8) ** levels).bit_length() - 1
+
+
+# log2 of the growth of the total remainder bound from order 8, the first
+# of the schedule, to each order: about ``(order/8)**order`` at depth one
+# and ``(order/12)**(2*order)`` deeper, each over its value at order 8.
+# Fitted at orders 8-128 over the indices of weight <= 7 and depth <= 4 and
+# a few to depth 24, the estimate is within a factor 2**14 of the real
+# bound, which moves a seed by at most 2**(14/(order+1)).
+_GROWTH_BITS = {
+    order: (_growth_bits(order, 8, 1), _growth_bits(order, 12, 2))
+    for order in _ORDER_SCHEDULE
+}
+
+
+def _seed(ratio: int, offset: int, order: int) -> int:
+    """Least seed, from ``max(1, offset)`` up, with ``(2*seed+1)**(order+1)
+    >= ratio``."""
+    seed = max(1, offset, _kth_root_ceil(ratio, order + 1) // 2)
+    while (2 * seed + 1) ** (order + 1) < ratio:
+        seed += 1
+    return seed
 
 
 def _plan(index: MultiIndex, offset: int, tau: Fraction) -> tuple[int, int]:
     """Choose expansion order and seed offset for an analytic error near
     ``tau/4``.  Heuristic only: the returned enclosure certifies itself.
 
-    A plan costs ``d * steps`` recurrence steps plus ``_BUILD_COST *
-    order**3`` for building its expansions.  Orders are priced upward and
-    the walk stops before building one whose build alone costs more than
-    the best plan so far.  A plan within ``_MAX_STEPS`` steps is feasible;
-    if none is, the priced plan with the fewest steps runs ``_MAX_STEPS``
-    steps and the width check decides.
+    The seed is the least at which the total remainder bound of the
+    prefixes' expansions, times ``6**d`` of headroom for error growth in the
+    recurrence, times ``w**(order+1)``, is at most ``tau/4``.  A plan costs
+    ``d * steps`` recurrence steps plus ``_BUILD_COST * order**2`` for
+    building its expansions.  Orders are priced upward, each from an
+    estimate of its bound (the real bound at the anchor, the first order of
+    the schedule, times ``2**_GROWTH_BITS``), until the build alone costs
+    more than the best plan.  A plan within ``_MAX_STEPS`` steps is
+    feasible; if none is, the plan with the fewest steps is taken.  Only the
+    anchor and the chosen order are built: the seed comes from the chosen
+    order's real bound, capped at ``_MAX_STEPS`` steps, where the width
+    check decides.
     """
     d = len(index)
-    margin = Fraction(6) ** d  # headroom for error growth in the recurrence
-    best: Optional[tuple[int, int, int]] = None  # (cost, order, seed), feasible
-    nearest: Optional[tuple[int, int]] = None  # (seed, order), fewest steps
+    headroom = 4 * 6**d
+
+    def ratio(order: int) -> int:
+        # ceil(headroom * total bound / tau), over one common denominator
+        bounds = [prefix_expansion(index[:i], order)[1] for i in range(1, d + 1)]
+        den = math.lcm(*(b.denominator for b in bounds))
+        num = sum(b.numerator * (den // b.denominator) for b in bounds)
+        return -(-num * headroom * tau.denominator // (den * tau.numerator))
+
+    estimate = ratio(_ORDER_SCHEDULE[0])
+    best: Optional[tuple[int, int]] = None  # (cost, order), feasible
+    nearest: Optional[tuple[int, int]] = None  # (steps, order), fewest steps
     for order in _ORDER_SCHEDULE:
-        build = _BUILD_COST * order**3
+        build = _BUILD_COST * order**2
         if best is not None and build >= best[0]:
             break
-        total_bound = Fraction(0)
-        for i in range(1, d + 1):
-            total_bound += prefix_expansion(index[:i], order)[1]
-        ratio = total_bound * margin * 4 / tau
-        ratio_int = max(1, -((-ratio.numerator) // ratio.denominator))
-        root = _kth_root_ceil(ratio_int, order + 1)
-        seed = max(1, offset, root // 2)
-        while (2 * seed + 1) ** (order + 1) < ratio_int:
-            seed += 1
-        if nearest is None or seed < nearest[0]:
-            nearest = (seed, order)
-        if seed - offset > _MAX_STEPS:
-            continue
-        cost = d * (seed - offset) + build
-        if best is None or cost < best[0]:
-            best = (cost, order, seed)
-    if best is None:
-        return nearest[1], offset + _MAX_STEPS
-    return best[1], best[2]
+        steps = _seed(estimate << _GROWTH_BITS[order][d > 1], offset, order) - offset
+        if nearest is None or steps < nearest[0]:
+            nearest = (steps, order)
+        if steps <= _MAX_STEPS and (best is None or d * steps + build < best[0]):
+            best = (d * steps + build, order)
+    order = (best or nearest)[1]
+    seed = _seed(ratio(order), offset, order)
+    return order, min(seed, offset + _MAX_STEPS)
 
 
 def _evaluate_at(

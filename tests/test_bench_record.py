@@ -42,6 +42,21 @@ def test_perfbench_rows_take_medians_of_untraced_runs(tmp_path):
     assert rows["order_scan"]["stamp"] == {"python": "3.x", "tvals": "0.1.0"}
 
 
+def test_traced_rows_take_per_layer_medians_of_traced_runs(tmp_path):
+    outputs = [
+        _run_output("eval_highprec", 1, 1, 10.0),
+        _run_output("eval_highprec", 2, 1, 30.0),
+        _run_output("eval_highprec", 3, 1, 20.0),
+        _run_output("eval_highprec", 4, 0, 99.0),  # untraced: no per-layer values
+    ]
+    path = tmp_path / "runs.txt"
+    path.write_text("\n".join(outputs) + "\n")
+    (row,) = record.traced_rows([path])
+    assert (row["kind"], row["name"], row["runs"], row["seeds"]) == ("traced", "eval_highprec", 3, [1, 2, 3])
+    assert row["median"]["throughput_rps"] == 20.0
+    assert [r["name"] for r in record.perfbench_rows([path])] == ["eval_highprec"]
+
+
 def test_cold_row_runs_in_a_fresh_process_without_mpmath():
     got = record.time_cold(ROOT, "prefix_expansion", (2, 1), 8)
     assert got["seconds"] > 0

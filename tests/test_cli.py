@@ -87,6 +87,19 @@ def test_eval_direct_beyond_its_terms_is_one_error_line(argv, message, cache_pat
     assert "Traceback" not in err
 
 
+def test_eval_direct_points_to_the_default_method(cache_path, capsys):
+    # the CLI has no option for more outer terms, so the message names its
+    # fixed term count and the method that does certify this index
+    index = ",".join(["2"] + ["1"] * 18)
+    code, _, err = run(capsys, "eval", "--index", index, "--method", "direct", "--no-cache")
+    assert code == INVALID
+    assert len(err.splitlines()) == 1
+    assert "--method direct sums at most 1,000,000 outer terms" in err
+    assert "default method" in err and "raise max_outer" not in err
+    code, out, _ = run(capsys, "eval", "--index", index, "--no-cache")
+    assert code == OK and index in out
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_eval_populates_and_reuses_cache(cache_path, capsys):

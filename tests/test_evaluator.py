@@ -453,8 +453,9 @@ def test_harmonic_product_with_depth_two_factor(a, b, c):
 # --- planner and recurrence -------------------------------------------------
 
 def test_plan_prices_the_expansion_build(monkeypatch):
-    # at 256 bits a depth-2 index needs neither an order above 32 nor
-    # building one to find that out
+    # the planner builds only the order it returns and its one fixed
+    # anchor, and seeds where the real remainder bound of that order is
+    # small enough; at 256 bits a depth-2 index needs no order above 32
     built = []
 
     def recording(prefix, order):
@@ -462,10 +463,23 @@ def test_plan_prices_the_expansion_build(monkeypatch):
         return prefix_expansion(prefix, order)
 
     monkeypatch.setattr(evaluator, "prefix_expansion", recording)
-    order, seed = evaluator._plan((2, 3), 1, Fraction(1, 2**246))
-    assert order <= 32
-    assert 0 <= seed - 1 <= 20_000
-    assert max(built) <= 32
+    anchor = evaluator._ORDER_SCHEDULE[0]
+    cases = [
+        ((2, 3), 1, Fraction(1, 2**246)),
+        ((2, 1, 1, 1), 0, Fraction(1, 10**100)),
+        ((2, 1, 1, 1), 0, Fraction(1, 10**300)),
+    ]
+    for index, offset, tau in cases:
+        built.clear()
+        order, seed = evaluator._plan(index, offset, tau)
+        assert set(built) <= {order, anchor}
+        assert 0 <= seed - offset <= evaluator._MAX_STEPS
+        bound = sum(prefix_expansion(index[:i], order)[1] for i in range(1, len(index) + 1))
+        ratio = bound * 6 ** len(index) * 4 / tau
+        assert (2 * seed + 1) ** (order + 1) >= ratio
+        assert (2 * seed - 1) ** (order + 1) < ratio  # no later than needed
+        if index == (2, 3):
+            assert order <= 32
 
 
 def test_depth_four_at_width_1e_100():
@@ -538,9 +552,10 @@ def test_order_128_expansions_are_frozen():
 
 
 # SHA-256 of (k, n, w, lo, hi, bits) of the fast path over the weight <= 6,
-# depth <= 4 indices, taken before the integer expansion build and the
-# integer Horner sum of the seeds
-FAST_PATH_SHA256 = "731a40aa7cf39760a12d53c4796400b96d7c657e450424bb6f69c97b40b64abf"
+# depth <= 4 indices.  The endpoints follow the planner's plans, so a
+# planner change moves this digest; the order facts that must not move are
+# pinned apart, as the ranks and indices of beta_table(12) in test_order.py
+FAST_PATH_SHA256 = "81203339cb289e2929b84284f03a0959c1e551c9d8147e7f672b442829ff4487"
 
 
 def test_fast_path_enclosures_are_frozen():

@@ -127,6 +127,19 @@ def test_beta_table_matches_frozen_decimals():
         assert below.certified_lt(above)
 
 
+# the first twelve tails in decreasing order; pinned without their
+# enclosures, which change whenever the planner does
+BETA_12_RANKS = [
+    (1, ()), (2, (2,)), (3, (2, 1)), (4, (3,)), (5, (2, 1, 1)),
+    (6, (2, 1, 1, 1)), (7, (2, 2)), (8, (4,)), (9, (2, 1, 1, 1, 1)),
+    (10, (2, 1, 2)), (11, (3, 1)), (12, (2, 3)),
+]
+
+
+def test_beta_table_ranks_and_indices_are_pinned():
+    assert [(entry.rank, entry.index) for entry in beta_table(12)] == BETA_12_RANKS
+
+
 def test_rank_of_tail_inverts_table():
     for rank, index in BETA_INDICES.items():
         assert rank_of_tail(index) == rank
