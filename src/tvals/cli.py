@@ -40,6 +40,7 @@ from .order import Verdict, beta_table, compare, phi
 from .verify import (
     ScanReport,
     ScanStatus,
+    _chain_blocks,
     check_phi_conjecture,
     scan_p_sets,
     scan_tail_collisions,
@@ -356,18 +357,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     report = verify_chain(args.blocks, args.per_block, budget)
     if args.format == "table":
         print("t(1) = infinity (divergent; symbolic top of the chain)")
-        for entry in beta_table(args.blocks, budget):
-            if len(entry.index) == 0:
-                members = [
-                    index_str((c,)) for c in range(2, args.per_block + 2)
-                ]
-            else:
-                members = [
-                    index_str(entry.index + (n,))
-                    for n in range(1, args.per_block + 1)
-                ]
-            line = " > ".join(f"t({m})" for m in members)
-            print(f"  {line} > [tail:1:{index_str(entry.index)}]")
+        for members, tail in _chain_blocks(args.blocks, args.per_block, budget):
+            line = " > ".join(f"t({index_str(m)})" for m in members)
+            print(f"  {line} > [tail:1:{index_str(tail)}]")
     _emit_report([report], args)
     return _status_exit([report])
 
@@ -375,15 +367,19 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     budget = _budget_from(args)
     nmax = args.nmax
+    families = ((), (2,), (2, 1)) if args.suite in ("limits", "all") else ()
+    try:  # run first, so that an n_max too small for a family exits before any suite
+        limits = [verify_limits(index, nmax or 12, budget=budget) for index in families]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     reports: list[ScanReport] = []
     if args.suite in ("identities", "all"):
         reports.append(verify_repeated(nmax or 3, budget=budget))
         reports.append(verify_sum_formula(nmax or 4, budget=budget))
         reports.append(verify_catalan(12, budget=budget))
         reports.append(verify_tail_recurrence(8, budget=budget))
-    if args.suite in ("limits", "all"):
-        for index in ((), (2,), (2, 1)):
-            reports.append(verify_limits(index, nmax or 12, budget=budget))
+    reports.extend(limits)
     if args.suite in ("order", "all"):
         reports.append(verify_monotonicity(50, 8, budget=budget))
         reports.append(verify_chain(4, 8, budget=budget))

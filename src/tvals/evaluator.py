@@ -257,10 +257,8 @@ _GROWTH_BITS = {
 def _seed(ratio: int, offset: int, order: int) -> int:
     """Least seed, from ``max(1, offset)`` up, with ``(2*seed+1)**(order+1)
     >= ratio``."""
-    seed = max(1, offset, _kth_root_ceil(ratio, order + 1) // 2)
-    while (2 * seed + 1) ** (order + 1) < ratio:
-        seed += 1
-    return seed
+    # the root r is least with r**(order+1) >= ratio, and 2*(r//2) + 1 >= r
+    return max(1, offset, _kth_root_ceil(ratio, order + 1) // 2)
 
 
 def _plan(index: MultiIndex, offset: int, tau: Fraction) -> tuple[int, int]:
@@ -344,12 +342,6 @@ def _evaluate_at(
     )
 
 
-def _narrower(a: Optional[Enclosure], b: Enclosure) -> Enclosure:
-    if a is None or b.width() < a.width():
-        return b
-    return a
-
-
 @lru_cache(maxsize=None)
 def _evaluate_cached(
     index: MultiIndex, offset: int, target_width: Fraction, budget: PrecisionBudget
@@ -368,7 +360,8 @@ def _evaluate_cached(
         tau = min(target_width, Fraction(1, 2 ** (bits - 10)))
         order, seed = _plan(index, offset, tau)
         enclosure = _evaluate_at(index, offset, bits, order, seed)
-        best = _narrower(best, enclosure)
+        if best is None or enclosure.width() < best.width():
+            best = enclosure
         if best.width() <= target_width:
             return best
     raise BudgetExceededError(

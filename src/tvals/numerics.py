@@ -237,23 +237,19 @@ def base_expansion(k: int, order: int) -> tuple[tuple[tuple[int, Fraction], ...]
     if k <= order:
         coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(1, 2)
     r = 1
-    while k + 2 * r - 1 <= order:
+    while True:
         c = (
             Fraction(2 ** (2 * r - 1))
             * bernoulli_fraction(2 * r)
             * _rising(k, 2 * r - 1)
             / Fraction(math.factorial(2 * r))
         )
+        if k + 2 * r - 1 > order:
+            break  # c is the first omitted term
         coeffs[k + 2 * r - 1] = coeffs.get(k + 2 * r - 1, Fraction(0)) + c
         r += 1
     first_omitted_power = k + 2 * r - 1
-    first_omitted = abs(
-        Fraction(2 ** (2 * r - 1))
-        * bernoulli_fraction(2 * r)
-        * _rising(k, 2 * r - 1)
-        / Fraction(math.factorial(2 * r))
-    )
-    bound = first_omitted / Fraction(3 ** (first_omitted_power - (order + 1)))
+    bound = abs(c) / Fraction(3 ** (first_omitted_power - (order + 1)))
     # leading terms that themselves fall beyond the order (large k) join the
     # remainder, rescaled by powers of w <= 1/3
     if k - 1 > order:

@@ -305,8 +305,6 @@ def enumerate_tails_above(
         found.extend(_prefixes_above(d, d, 1, threshold, budget))
 
     def sort_key(index: MultiIndex):
-        if len(index) == 0:
-            return (Fraction(-1), depth_graded_key(index))
         mid = _enclose(ValueSpec(index, 1), _FIRST_WIDTH, budget).midpoint()
         return (-mid, depth_graded_key(index))
 
@@ -324,16 +322,6 @@ def _bisect(ordered: list[ValueSpec], spec: ValueSpec, budget: PrecisionBudget) 
         else:
             lo = mid + 1
     return lo
-
-
-def _certified_insertion_sort(
-    specs: list[ValueSpec], budget: PrecisionBudget
-) -> list[ValueSpec]:
-    """Sort decreasing with certified pairwise comparisons (values distinct)."""
-    ordered: list[ValueSpec] = []
-    for spec in specs:
-        ordered.insert(_bisect(ordered, spec, budget), spec)
-    return ordered
 
 
 # A certified list is a floor and specs in certified decreasing order: every
@@ -405,14 +393,10 @@ def beta_table(
             raise BudgetExceededError(
                 f"could not find {count} tails above 2**-200"
             )
-    entries = []
-    for position, spec in enumerate(ordered[:count], start=1):
-        if len(spec.index) == 0:
-            value = Enclosure.exact_int(1)
-        else:
-            value = _enclose(spec, _FIRST_WIDTH, budget)
-        entries.append(BetaEntry(position, spec.index, value))
-    return tuple(entries)
+    return tuple(
+        BetaEntry(position, spec.index, _enclose(spec, _FIRST_WIDTH, budget))
+        for position, spec in enumerate(ordered[:count], start=1)
+    )
 
 
 def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
@@ -422,10 +406,7 @@ def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
     Extends the tail list to be complete just below the value.  A tail is
     then listed, and its position is the count; any other value is placed by
     bisection, in O(log n) certified decisions."""
-    if len(spec.index) == 0:
-        enclosure = Enclosure.exact_int(1)
-    else:
-        enclosure = _enclose(spec, _FIRST_WIDTH, budget)
+    enclosure = _enclose(spec, _FIRST_WIDTH, budget)
     if enclosure.lo_fraction <= 0:
         raise BudgetExceededError(
             f"{spec} is too small to place: its first enclosure reaches down to 0"

@@ -30,7 +30,6 @@ from .evaluator import evaluate_spec
 from .indices import (
     MultiIndex,
     ValueSpec,
-    enumerate_admissible,
     enumerate_admissible_up_to,
     index_str,
 )
@@ -41,7 +40,6 @@ from .order import (
     band_of_value,
     beta_table,
     compare,
-    enumerate_tails_above,
     phi,
     rank_of_tail,
 )
@@ -379,14 +377,10 @@ def verify_tail_recurrence(
     width = tolerance / 16
     findings = []
     for index in enumerate_admissible_up_to(weight_max):
-        prefix = index[:-1]
         for n in offsets:
             lhs = evaluate_spec(ValueSpec(index, n), width, budget)
             deeper = evaluate_spec(ValueSpec(index, n + 1), width, budget)
-            if prefix:
-                inner = evaluate_spec(ValueSpec(prefix, n + 1), width, budget)
-            else:
-                inner = Enclosure.exact_int(1)
+            inner = evaluate_spec(ValueSpec(index[:-1], n + 1), width, budget)
             step = Enclosure.from_fraction(
                 Fraction(1, (2 * n + 1) ** index[-1]), lhs.precision_bits
             )
@@ -450,6 +444,16 @@ def verify_monotonicity(
     )
 
 
+def _chain_blocks(
+    block_count: int, per_block: int, budget: PrecisionBudget
+) -> Iterator[tuple[list[MultiIndex], MultiIndex]]:
+    """The chain's blocks: each its members in decreasing order and the
+    index of the tail they accumulate at."""
+    for entry in beta_table(block_count, budget):
+        first = 2 if len(entry.index) == 0 else 1  # the single-1 index diverges
+        yield [entry.index + (n,) for n in range(first, first + per_block)], entry.index
+
+
 def verify_chain(
     block_count: int = 4,
     per_block: int = 8,
@@ -466,17 +470,10 @@ def verify_chain(
     single-1 index; the walk therefore starts at exponent 2 (noted).
     """
     budget = budget or _DEFAULT_BUDGET
-    table = beta_table(block_count, budget)
     chain: list[tuple[str, ValueSpec]] = []
-    for entry in table:
-        if len(entry.index) == 0:
-            for c in range(2, per_block + 2):
-                chain.append((index_str((c,)), ValueSpec((c,), 0)))
-        else:
-            for n in range(1, per_block + 1):
-                member = entry.index + (n,)
-                chain.append((index_str(member), ValueSpec(member, 0)))
-        chain.append((f"tail:1:{index_str(entry.index)}", ValueSpec(entry.index, 1)))
+    for members, tail in _chain_blocks(block_count, per_block, budget):
+        chain.extend((index_str(member), ValueSpec(member, 0)) for member in members)
+        chain.append((f"tail:1:{index_str(tail)}", ValueSpec(tail, 1)))
     findings = [
         Finding(
             subject="block structure",
@@ -511,15 +508,15 @@ def verify_limits(
     ``t(index + (n,)) - tail <= C * 3**(-n)`` where
     ``C = 3**n0 * (first certified difference)`` — each raise of the final
     exponent divides the surplus by at least 3 because the appended
-    variable's denominator is at least 3.
+    variable's denominator is at least 3.  Raises ``ValueError`` when
+    ``n_max`` is below the family's first exponent.
     """
     budget = budget or _DEFAULT_BUDGET
     n_start = 2 if len(index) == 0 else 1
+    if n_max < n_start:
+        raise ValueError(f"n_max must be at least {n_start} for index {index_str(index)}")
     width = Fraction(1, 10**24)
-    if len(index) == 0:
-        limit = Enclosure.exact_int(1)
-    else:
-        limit = evaluate_spec(ValueSpec(index, 1), width, budget)
+    limit = evaluate_spec(ValueSpec(index, 1), width, budget)
     findings = []
     constant: Optional[Fraction] = None
     previous: Optional[Enclosure] = None
@@ -636,8 +633,6 @@ def scan_tail_collisions(
     specs = [ValueSpec(index, 1) for index in enumerate_admissible_up_to(weight_max, include_empty=True)]
 
     def sort_mid(spec: ValueSpec) -> Fraction:
-        if len(spec.index) == 0:
-            return Fraction(1)
         return evaluate_spec(spec, Fraction(1, 2**48), budget).midpoint()
 
     ordered = sorted(specs, key=lambda s: (-sort_mid(s), s.index))
@@ -724,7 +719,7 @@ def check_phi_conjecture(
         if n_hi < n_lo:
             continue
         try:
-            reading_a = 1 if len(k) == 0 else rank_of_tail(k, budget)
+            reading_a = rank_of_tail(k, budget)
             if len(k) == 0:
                 reading_b = 2  # the full value 1 equals the rank-1 tail exactly
             else:

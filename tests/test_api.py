@@ -1,9 +1,12 @@
 """The public names of the package and what importing it pulls in."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tvals
 
@@ -90,3 +93,48 @@ def test_runs_without_mpmath():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a name listed in ``__all__``
+    or read inside a string annotation counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        # a function's return, an argument's or an annotated assignment's
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        for inner in ast.walk(annotation) if annotation else ():
+            if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                parsed = ast.parse(inner.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(Path(tvals.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_modules_import_no_unused_names(module):
+    assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_reads_all_and_string_annotations():
+    source = (
+        "from typing import Optional\n"
+        "from .a import Exported, Annotated, Unused\n"
+        "__all__ = ['Exported']\n"
+        "def f(x: 'Optional[Annotated]'): pass\n"
+    )
+    assert _unused_imports(source) == ["Unused (line 2)"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tvals.cli import main
+from tvals.verify import verify_chain
 
 OK, UNRESOLVED, INVALID, COUNTEREXAMPLE = 0, 1, 2, 3
 
@@ -281,6 +282,17 @@ def test_chain_reports_symbolic_top(capsys):
     assert "AllPassed" in out
 
 
+def test_printed_chain_is_the_certified_chain(capsys):
+    code, out, _ = run(capsys, "chain", "--blocks", "3", "--per-block", "2")
+    assert code == OK
+    lines = [line.strip() for line in out.splitlines() if line.startswith("  t(")]
+    # "t(2,1)" and "[tail:1:2]" print the labels "2,1" and "tail:1:2"
+    printed = [term[2:-1] if term.startswith("t(") else term[1:-1]
+               for line in lines for term in line.split(" > ")]
+    compared = [f.subject.split(" > ") for f in verify_chain(3, 2).findings[1:]]
+    assert printed == [compared[0][0]] + [right for _, right in compared]
+
+
 # --- verify / scan ----------------------------------------------------------
 
 def test_verify_identities_suite(capsys):
@@ -341,10 +353,14 @@ def test_unknown_subcommand_exits_nonzero(capsys):
         ("verify", "--suite", "limits", "--nmax", "-1"),
         ("scan", "--kind", "collisions", "--weight-max", "-1"),
         ("scan", "--kind", "pairing", "--total-max", "-2"),
+        ("verify", "--suite", "limits", "--nmax", "1"),  # the empty family starts at 2
     ],
 )
 def test_out_of_range_numeric_argument_exits_invalid(argv, cache_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == INVALID
-    assert "error:" in capsys.readouterr().err
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == INVALID
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1

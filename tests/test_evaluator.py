@@ -482,6 +482,18 @@ def test_plan_prices_the_expansion_build(monkeypatch):
             assert order <= 32
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    ratio=st.integers(min_value=1, max_value=2**4000),
+    order=st.sampled_from(evaluator._ORDER_SCHEDULE),
+    offset=st.integers(min_value=0, max_value=50),
+)
+def test_seed_is_the_least_that_meets_the_ratio(ratio, order, offset):
+    seed = evaluator._seed(ratio, offset, order)
+    assert (2 * seed + 1) ** (order + 1) >= ratio
+    assert seed == max(1, offset) or (2 * seed - 1) ** (order + 1) < ratio
+
+
 def test_depth_four_at_width_1e_100():
     fine = enclosure_of([2, 1, 1, 1], width=Fraction(1, 10**100))
     assert fine.width() <= Fraction(1, 10**100)

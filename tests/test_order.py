@@ -293,10 +293,9 @@ def test_tail_list_matches_beta_table(monkeypatch):
     assert [spec.index for spec in specs[:24]] == [entry.index for entry in table]
     assert [entry.index for entry in table[:5]] == list(BETA_INDICES.values())
     # inserting into a shorter list gives the sort of the full enumeration
-    from_scratch = order._certified_insertion_sort(
-        [ValueSpec(index, 1) for index in enumerate_tails_above(floor, budget)],
-        budget,
-    )
+    from_scratch = order._listed_down_to({}, budget, floor, budget, lambda low: (
+        ValueSpec(index, 1) for index in enumerate_tails_above(low, budget)
+    ))
     assert specs == from_scratch
 
 

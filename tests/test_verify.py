@@ -8,6 +8,8 @@ pairs are drawn), so identical calls must reproduce identical reports.
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from tvals import order
 from tvals.verify import (
     Finding,
@@ -59,6 +61,12 @@ def test_limit_decay_envelopes():
     for index in ((), (2,), (2, 1)):
         report = verify_limits(index, n_max=8)
         assert report.status is ScanStatus.ALL_PASSED, index
+
+
+@pytest.mark.parametrize("index, least", [((), 2), ((2,), 1)])
+def test_limits_reject_a_family_without_members(index, least):
+    with pytest.raises(ValueError, match=f"n_max must be at least {least} "):
+        verify_limits(index, n_max=least - 1)
 
 
 # --- order scans ------------------------------------------------------------
