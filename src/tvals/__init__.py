@@ -41,34 +41,27 @@ from .numerics import (
     const_pi,
     euler_int,
 )
-from .order import (
-    BetaEntry,
-    ComparisonOutcome,
-    PhiCoord,
-    Verdict,
-    band_of_value,
-    band_prefix,
-    beta_table,
-    compare,
-    enumerate_tails_above,
-    phi,
-    rank_of_tail,
-)
-from .verify import (
-    Finding,
-    ScanReport,
-    ScanStatus,
-    check_phi_conjecture,
-    scan_p_sets,
-    scan_tail_collisions,
-    verify_catalan,
-    verify_chain,
-    verify_limits,
-    verify_monotonicity,
-    verify_repeated,
-    verify_sum_formula,
-    verify_tail_recurrence,
-)
+
+
+def __getattr__(name: str):
+    """Resolve the names of ``__all__`` that the order layer or the scans
+    define on first access (PEP 562), so that importing the package, or
+    running ``tv eval``, loads neither.  ``verify`` imports ``order``, so
+    trying ``order`` first loads nothing extra."""
+    from importlib import import_module
+
+    if name in __all__:
+        for module in ("order", "verify"):
+            value = getattr(import_module(f".{module}", __name__), name, None)
+            if value is not None:
+                globals()[name] = value
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

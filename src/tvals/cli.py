@@ -22,36 +22,25 @@ The path comes from ``--cache``, the ``TV_CACHE`` environment variable, or
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, DivergentError, UnresolvedComparisonError
 from .evaluator import evaluate_direct, evaluate_spec
 from .indices import IndexParseError, ValueSpec, index_str, parse_index, parse_value_spec
 from .numerics import PrecisionBudget
-from .order import Verdict, beta_table, compare, phi
-from .verify import (
-    ScanReport,
-    ScanStatus,
-    _chain_blocks,
-    check_phi_conjecture,
-    scan_p_sets,
-    scan_tail_collisions,
-    verify_catalan,
-    verify_chain,
-    verify_limits,
-    verify_monotonicity,
-    verify_repeated,
-    verify_sum_formula,
-    verify_tail_recurrence,
-)
+
+if TYPE_CHECKING:
+    from .verify import ScanReport
+
+# The order layer and the scans load inside the subcommands that run them,
+# so that ``tv eval`` starts without them; calls go through the module
+# attributes (``order.phi``, not a bound ``phi``).
 
 __all__ = [
     "CacheRecord",
@@ -72,8 +61,10 @@ _DIRECT_MAX_OUTER = 1_000_000  # outer terms summed by ``eval --method direct``
 # ----------------------------------------------------------------------
 # enclosure cache
 # ----------------------------------------------------------------------
-@dataclass
 class CacheRecord:
+    """One cache line; ``__slots__`` lists the fields in their JSON order."""
+
+    __slots__ = ("index", "tail_offset", "precision_bits", "lo", "hi", "method", "created_at")
     index: list[int]
     tail_offset: int
     precision_bits: int
@@ -82,10 +73,45 @@ class CacheRecord:
     method: str
     created_at: str
 
+    def __init__(
+        self,
+        index: list[int],
+        tail_offset: int,
+        precision_bits: int,
+        lo: str,
+        hi: str,
+        method: str,
+        created_at: str,
+    ) -> None:
+        self.index = index
+        self.tail_offset = tail_offset
+        self.precision_bits = precision_bits
+        self.lo = lo
+        self.hi = hi
+        self.method = method
+        self.created_at = created_at
+
+    def _fields(self) -> dict:
+        """The fields by name, in their JSON order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None  # mutable, hence unhashable
+
     @classmethod
     def from_enclosure(
         cls, spec: ValueSpec, enclosure: Enclosure, method: str, digits: int
     ) -> "CacheRecord":
+        from datetime import datetime, timezone  # only a cache store needs the clock
+
         lo, hi = enclosure.decimal_strings(digits)
         return cls(
             index=list(spec.index),
@@ -94,7 +120,7 @@ class CacheRecord:
             lo=lo,
             hi=hi,
             method=method,
-            created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+            created_at=datetime.now(timezone.utc).isoformat(),
         )
 
     def to_enclosure(self) -> Enclosure:
@@ -114,7 +140,8 @@ def cache_lookup(
     """Narrowest cached enclosure for ``spec`` with at least ``min_precision``
     recorded bits.  Corrupt lines, and records disjoint from a fresh
     enclosure of the value at width ``2**-48``, are skipped with a warning,
-    never fatal."""
+    never fatal.  Only the endpoints of records for ``spec`` with enough
+    bits are decoded, so a malformed endpoint elsewhere goes unnoticed."""
     if not path.exists():
         return None
     best: Optional[tuple[CacheRecord, Enclosure]] = None
@@ -129,11 +156,11 @@ def cache_lookup(
         try:
             payload = json.loads(line)
             record = CacheRecord(**payload)
-            enclosure = record.to_enclosure()
             if tuple(record.index) != spec.index or record.tail_offset != spec.tail_offset:
                 continue
             if record.precision_bits < min_precision:
                 continue
+            enclosure = record.to_enclosure()
             if reference is None:
                 reference = evaluate_spec(spec, Fraction(1, 2**48))
             if not enclosure.overlaps(reference):
@@ -153,7 +180,7 @@ def cache_store(path: Path, record: CacheRecord) -> None:
     """Append one record atomically (single whole-line write under an
     advisory lock)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(asdict(record)) + "\n"
+    line = json.dumps(record._fields()) + "\n"
     with open(path, "a", encoding="utf-8") as handle:
         try:
             import fcntl
@@ -207,6 +234,8 @@ def _emit_report(
 
 
 def _status_exit(reports: Sequence[ScanReport]) -> int:
+    from .verify import ScanStatus
+
     statuses = {report.status for report in reports}
     if ScanStatus.COUNTEREXAMPLE in statuses:
         return EXIT_COUNTEREXAMPLE
@@ -285,6 +314,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import order
+
     try:
         left = parse_value_spec(args.a)
         right = parse_value_spec(args.b)
@@ -292,7 +323,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        outcome = compare(left, right, _budget_from(args))
+        outcome = order.compare(left, right, _budget_from(args))
     except DivergentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -301,13 +332,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"  separation >= {float(outcome.separation):.6e}"
         f"  ({outcome.bits_used} bits)"
     )
-    return EXIT_OK if outcome.verdict is not Verdict.UNRESOLVED else EXIT_UNRESOLVED
+    return EXIT_OK if outcome.verdict is not order.Verdict.UNRESOLVED else EXIT_UNRESOLVED
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
+    from . import order
+
     budget = _budget_from(args)
     try:
-        entries = beta_table(args.count, budget)
+        entries = order.beta_table(args.count, budget)
     except (UnresolvedComparisonError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
@@ -334,6 +367,8 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
+    from . import order
+
     try:
         index = parse_index(args.index)
     except IndexParseError as exc:
@@ -344,7 +379,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     try:
-        coord = phi(index, _budget_from(args))
+        coord = order.phi(index, _budget_from(args))
     except (UnresolvedComparisonError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
@@ -353,11 +388,13 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    from . import verify
+
     budget = _budget_from(args)
-    report = verify_chain(args.blocks, args.per_block, budget)
+    report = verify.verify_chain(args.blocks, args.per_block, budget)
     if args.format == "table":
         print("t(1) = infinity (divergent; symbolic top of the chain)")
-        for members, tail in _chain_blocks(args.blocks, args.per_block, budget):
+        for members, tail in verify._chain_blocks(args.blocks, args.per_block, budget):
             line = " > ".join(f"t({index_str(m)})" for m in members)
             print(f"  {line} > [tail:1:{index_str(tail)}]")
     _emit_report([report], args)
@@ -365,36 +402,40 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     budget = _budget_from(args)
     nmax = args.nmax
     families = ((), (2,), (2, 1)) if args.suite in ("limits", "all") else ()
     try:  # run first, so that an n_max too small for a family exits before any suite
-        limits = [verify_limits(index, nmax or 12, budget=budget) for index in families]
+        limits = [verify.verify_limits(index, nmax or 12, budget=budget) for index in families]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     reports: list[ScanReport] = []
     if args.suite in ("identities", "all"):
-        reports.append(verify_repeated(nmax or 3, budget=budget))
-        reports.append(verify_sum_formula(nmax or 4, budget=budget))
-        reports.append(verify_catalan(12, budget=budget))
-        reports.append(verify_tail_recurrence(8, budget=budget))
+        reports.append(verify.verify_repeated(nmax or 3, budget=budget))
+        reports.append(verify.verify_sum_formula(nmax or 4, budget=budget))
+        reports.append(verify.verify_catalan(12, budget=budget))
+        reports.append(verify.verify_tail_recurrence(8, budget=budget))
     reports.extend(limits)
     if args.suite in ("order", "all"):
-        reports.append(verify_monotonicity(50, 8, budget=budget))
-        reports.append(verify_chain(4, 8, budget=budget))
+        reports.append(verify.verify_monotonicity(50, 8, budget=budget))
+        reports.append(verify.verify_chain(4, 8, budget=budget))
     _emit_report(reports, args)
     return _status_exit(reports)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import verify
+
     budget = _budget_from(args)
     if args.kind == "p-sets":
-        report = scan_p_sets(args.rank_max, args.nmax or 10, budget)
+        report = verify.scan_p_sets(args.rank_max, args.nmax or 10, budget)
     elif args.kind == "collisions":
-        report = scan_tail_collisions(args.weight_max, budget=budget)
+        report = verify.scan_tail_collisions(args.weight_max, budget=budget)
     else:
-        report = check_phi_conjecture(
+        report = verify.check_phi_conjecture(
             args.weight_max,
             args.nmax or 4,
             budget,

@@ -30,7 +30,6 @@ one.  Everything else is exact rational bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -39,7 +38,7 @@ from typing import Optional, Sequence
 
 from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, DivergentError
-from .indices import MultiIndex, ValueSpec
+from .indices import MultiIndex, ValueSpec, _Frozen
 from .numerics import (
     _GUARD_BITS,
     PrecisionBudget,
@@ -64,17 +63,36 @@ DEFAULT_TARGET_WIDTH = Fraction(1, 10**30)
 _LN2_UPPER = Fraction(6_931_472, 10**7)  # rational upper bound on log(2)
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    """What to evaluate and how hard to try."""
+class EvalRequest(_Frozen):
+    """What to evaluate and how hard to try.  Instances are immutable and
+    hashable."""
 
+    __slots__ = ("spec", "target_width", "budget")
     spec: ValueSpec
-    target_width: Fraction = DEFAULT_TARGET_WIDTH
-    budget: PrecisionBudget = field(default_factory=PrecisionBudget)
+    target_width: Fraction
+    budget: PrecisionBudget
 
-    def __post_init__(self) -> None:
-        if self.target_width <= 0:
+    def __init__(
+        self,
+        spec: ValueSpec,
+        target_width: Fraction = DEFAULT_TARGET_WIDTH,
+        budget: PrecisionBudget = PrecisionBudget(),
+    ) -> None:
+        if target_width <= 0:
             raise ValueError("target_width must be positive")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "target_width", target_width)
+        object.__setattr__(self, "budget", budget)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.target_width, self.budget))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.spec, self.target_width, self.budget) == (
+                other.spec, other.target_width, other.budget
+            )
+        return NotImplemented
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ which the innermost summation variable is restricted to exceed the offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -85,22 +84,75 @@ def parse_index(text: str) -> MultiIndex:
     return tuple(result)
 
 
-@dataclass(frozen=True, order=True)
-class ValueSpec:
+class _Frozen:
+    """Base of the immutable value types.  ``__slots__`` names the fields in
+    constructor order and ``__init__`` sets them with ``object.__setattr__``;
+    after that no field can be assigned or deleted.  Copies and pickles go
+    back through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ValueSpec(_Frozen):
     """Names the number: full value at offset 0, tail for offset ``n >= 1``.
 
     A tail restricts the innermost summation variable to exceed
     ``tail_offset``; the empty index has value exactly 1 at every offset.
+    Instances are immutable and hashable, and order by index, then offset.
     """
 
+    __slots__ = ("index", "tail_offset")
     index: MultiIndex
-    tail_offset: int = 0
+    tail_offset: int
 
-    def __post_init__(self) -> None:
-        if self.tail_offset < 0:
+    def __init__(self, index: MultiIndex, tail_offset: int = 0) -> None:
+        if tail_offset < 0:
             raise ValueError("tail_offset must be non-negative")
-        if any(not isinstance(e, int) or e < 1 for e in self.index):
-            raise ValueError(f"exponents must be positive integers: {self.index}")
+        if any(not isinstance(e, int) or e < 1 for e in index):
+            raise ValueError(f"exponents must be positive integers: {index}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "tail_offset", tail_offset)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.tail_offset))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.tail_offset) == (other.index, other.tail_offset)
+        return NotImplemented
+
+    def __lt__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.tail_offset) < (other.index, other.tail_offset)
+        return NotImplemented
+
+    def __le__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.tail_offset) <= (other.index, other.tail_offset)
+        return NotImplemented
+
+    def __gt__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.tail_offset) > (other.index, other.tail_offset)
+        return NotImplemented
+
+    def __ge__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.tail_offset) >= (other.index, other.tail_offset)
+        return NotImplemented
 
     @property
     def admissible(self) -> bool:

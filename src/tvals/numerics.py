@@ -16,13 +16,13 @@ All functions are pure; memoization caches only deterministic values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .enclosure import Enclosure
 from .errors import DivergentError
+from .indices import _Frozen
 
 __all__ = [
     "PrecisionBudget",
@@ -38,22 +38,32 @@ __all__ = [
 _GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
+class PrecisionBudget(_Frozen):
     """Resource ceiling for adaptive evaluation.
 
     ``start_bits`` is the first precision rung and ``max_bits`` the ceiling
-    (rungs double).
+    (rungs double).  Instances are immutable and hashable.
     """
 
-    start_bits: int = 64
-    max_bits: int = 4096
+    __slots__ = ("start_bits", "max_bits")
+    start_bits: int
+    max_bits: int
 
-    def __post_init__(self) -> None:
-        if self.start_bits < 8:
+    def __init__(self, start_bits: int = 64, max_bits: int = 4096) -> None:
+        if start_bits < 8:
             raise ValueError("start_bits must be at least 8")
-        if self.max_bits < self.start_bits:
+        if max_bits < start_bits:
             raise ValueError("max_bits must be at least start_bits")
+        object.__setattr__(self, "start_bits", start_bits)
+        object.__setattr__(self, "max_bits", max_bits)
+
+    def __hash__(self) -> int:
+        return hash((self.start_bits, self.max_bits))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.start_bits, self.max_bits) == (other.start_bits, other.max_bits)
+        return NotImplemented
 
     def rungs(self) -> Iterator[int]:
         """Yield precision rungs ``start, 2*start, ...`` capped at ``max_bits``."""

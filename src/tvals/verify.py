@@ -123,10 +123,12 @@ class ScanReport:
 
 
 def _status_of(findings: Sequence[Finding]) -> ScanStatus:
+    """Counterexample on any failure; else Unresolved on any unresolved
+    finding, or when nothing was checked (no pass); else AllPassed."""
     verdicts = {f.verdict for f in findings}
     if "fail" in verdicts:
         return ScanStatus.COUNTEREXAMPLE
-    if "unresolved" in verdicts:
+    if "unresolved" in verdicts or "pass" not in verdicts:
         return ScanStatus.UNRESOLVED
     return ScanStatus.ALL_PASSED
 
@@ -509,12 +511,18 @@ def verify_limits(
     ``C = 3**n0 * (first certified difference)`` — each raise of the final
     exponent divides the surplus by at least 3 because the appended
     variable's denominator is at least 3.  Raises ``ValueError`` when
-    ``n_max`` is below the family's first exponent.
+    ``n_max`` is below the family's first exponent, or equal to it: the
+    envelope is frozen from the first member, so one member leaves it untested.
     """
     budget = budget or _DEFAULT_BUDGET
     n_start = 2 if len(index) == 0 else 1
     if n_max < n_start:
         raise ValueError(f"n_max must be at least {n_start} for index {index_str(index)}")
+    if n_max == n_start:
+        raise ValueError(
+            f"n_max must exceed {n_start} for index {index_str(index)}: the envelope "
+            "is frozen from the first member, so a second is needed to test it"
+        )
     width = Fraction(1, 10**24)
     limit = evaluate_spec(ValueSpec(index, 1), width, budget)
     findings = []

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,51 @@ def test_runs_without_mpmath():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+_UNLOADED = ("tvals.order", "tvals.verify", "dataclasses", "datetime")
+
+# fresh process: importing the package, or the CLI and running ``tv eval``
+# without a cache, leaves the order layer, the scans, ``dataclasses`` and
+# ``datetime`` unloaded; the first read of ``tvals.phi`` loads the order layer
+_LEAN_SCRIPT = f"""
+import contextlib, io, sys
+import tvals
+import tvals.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert tvals.cli.main(["eval", "--index", "2,1", "--digits", "10", "--no-cache"]) == 0
+loaded = sorted(set({_UNLOADED!r}) & set(sys.modules))
+assert not loaded, f"loaded: {{loaded}}"
+assert tvals.phi is sys.modules["tvals.order"].phi
+assert "tvals.verify" not in sys.modules
+"""
+
+
+def _run_lean_script(src: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", _LEAN_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
+def test_eval_loads_neither_the_order_layer_nor_the_scans():
+    result = _run_lean_script(Path(tvals.__file__).resolve().parents[1])
+    assert result.returncode == 0, result.stderr
+
+
+def test_lean_import_check_sees_an_eager_scan_import(tmp_path):
+    package = Path(tvals.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "tvals", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "tvals" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    anchor = "from .numerics import PrecisionBudget\n"
+    assert anchor in source
+    cli.write_text(source.replace(anchor, anchor + "from .verify import ScanStatus\n"), encoding="utf-8")
+    result = _run_lean_script(tmp_path)
+    assert result.returncode != 0 and "loaded: ['dataclasses', 'tvals.order', 'tvals.verify']" in result.stderr
 
 
 def _unused_imports(source: str) -> list[str]:

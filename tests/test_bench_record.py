@@ -81,3 +81,15 @@ def test_cold_grid_times_the_order_queries():
     for kind, arg in (("phi", 0), ("beta_table", 3), ("check_phi_conjecture", 4)):
         got = record.time_cold(ROOT, kind, (2, 1), arg)
         assert got["seconds"] > 0
+
+
+def test_cold_grid_times_tv_eval_processes():
+    assert {("tv_eval", 0), ("tv_eval", 1)} <= set(record.COLD_GRID)
+    assert record._name("tv_eval", 0) == (
+        "tv eval --index 2,1,1,1 --digits 30 (fresh process, cache miss)"
+    )
+    assert record._name("tv_eval", 1).endswith("(fresh process, cache hit)")
+    for hit in (0, 1):  # time_tv_eval checks that the run missed or hit
+        got = record.time_tv_eval(ROOT, hit)
+        assert got["seconds"] > 0
+        assert got["python"] and got["tvals"] == "0.1.0"

@@ -164,6 +164,25 @@ def test_cache_record_that_misses_the_value_is_skipped(cache_path, capsys):
     assert "skipping corrupt cache line 1" in err
 
 
+def test_cache_lookup_decodes_only_the_records_it_can_use(cache_path, capsys, monkeypatch):
+    from tvals.enclosure import Enclosure
+
+    for index in ("3", "2,1", "4", "2"):
+        run(capsys, "eval", "--index", index, "--digits", "10")
+    run(capsys, "eval", "--index", "2", "--tail", "1", "--digits", "10")
+    calls = []
+    original = Enclosure.from_decimal_strings
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Enclosure, "from_decimal_strings", staticmethod(counting))
+    code, out, _ = run(capsys, "eval", "--index", "2", "--digits", "10")
+    assert code == OK and "(cached" in out
+    assert len(calls) == 1  # of five records, only the one for t(2)
+
+
 def test_cache_is_read_once_per_miss(cache_path, capsys, monkeypatch):
     from tvals import cli
 
@@ -299,6 +318,26 @@ def test_verify_identities_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--nmax", "2")
     assert code == OK
     assert "AllPassed" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--kind", "pairing", "--weight-max", "0", "--nmax", "1"),
+        ("scan", "--kind", "collisions", "--weight-max", "0"),
+    ],
+)
+def test_scan_that_checks_nothing_is_unresolved(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == UNRESOLVED
+    assert "Unresolved" in out and "pass=" not in out
+
+
+def test_verify_limits_with_one_member_is_one_error_line(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "limits", "--nmax", "2")
+    assert code == INVALID
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: n_max must exceed 2 ")
 
 
 def test_verify_json_format(capsys):

@@ -69,6 +69,14 @@ def test_limits_reject_a_family_without_members(index, least):
         verify_limits(index, n_max=least - 1)
 
 
+@pytest.mark.parametrize("index, least", [((), 2), ((2,), 1), ((2, 1), 1)])
+def test_limits_reject_a_family_of_one_member(index, least):
+    # the envelope constant is frozen from the first member, so that member
+    # alone would never test it
+    with pytest.raises(ValueError, match=f"n_max must exceed {least} "):
+        verify_limits(index, n_max=least)
+
+
 # --- order scans ------------------------------------------------------------
 
 def test_monotonicity_pairs_all_certified():
