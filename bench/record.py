@@ -13,8 +13,9 @@ Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
   queries ``phi`` and ``beta_table``, and a mid-size pairing scan), each
   timed in a fresh Python process (every ``lru_cache`` empty), ``REPEAT``
   times, with ``mpmath`` blocked so that a tree which still needs it fails
-  here; and the wall time of a whole ``python -m tvals.cli eval`` process,
-  from spawn to exit, on a cache miss and on a cache hit;
+  here; and the wall time of a whole ``python -m tvals.cli`` process, from
+  spawn to exit: ``tv eval`` on a cache miss and on a cache hit, and
+  ``tv phi``;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
   ``python3 perfbench/run.py ... --trace 0`` output (one run per file, or
   several concatenated); across runs the median, quartiles and seeds;
@@ -54,14 +55,18 @@ COLD_GRID = (
     ("check_phi_conjecture", 8),
     ("tv_eval", 0),
     ("tv_eval", 1),
+    ("tv_phi", 0),
 )
 INDEX = (2, 1, 1, 1)
 REPEAT = 3
 END_TO_END = ("setup_s", "throughput_rps", "latency_p50_s", "latency_tail_s", "peak_rss_mb")
 
-# the ``tv_eval`` rows: argument 0 times a miss on an empty cache, 1 a hit
-# on a cache that one untimed process seeded
-TV_EVAL = ("eval", "--index", ",".join(map(str, INDEX)), "--digits", "30")
+# the fresh ``tv`` process rows, by kind: argument 0 runs the command on an
+# empty cache, 1 on a cache that one untimed process seeded, where it must hit
+TV_COMMANDS = {
+    "tv_eval": ("eval", "--index", ",".join(map(str, INDEX)), "--digits", "30"),
+    "tv_phi": ("phi", "--index", ",".join(map(str, INDEX))),
+}
 
 # runs in the child: ``kind`` is prefix_expansion (argument: the order),
 # evaluate_spec (argument: the exponent e of the target width 10**-e),
@@ -107,10 +112,11 @@ def time_cold(tree: Path, kind: str, index: tuple, arg: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def time_tv_eval(tree: Path, hit: int) -> dict:
-    """Wall time of one ``python -m tvals.cli`` process running ``TV_EVAL``,
-    on a cache miss (``hit`` 0) or a hit (1); returns seconds and the stamp."""
-    command = [sys.executable, "-m", "tvals.cli", *TV_EVAL]
+def time_tv(tree: Path, kind: str, hit: int = 0) -> dict:
+    """Wall time of one ``python -m tvals.cli`` process running the command
+    of ``kind`` on an empty cache (``hit`` 0), or on a seeded cache where it
+    must hit (1); returns seconds and the stamp."""
+    command = [sys.executable, "-m", "tvals.cli", *TV_COMMANDS[kind]]
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
                    TV_CACHE=str(Path(tmp) / "enclosures.jsonl"))
@@ -136,16 +142,16 @@ def _name(kind: str, arg: int) -> str:
         return f"beta_table({arg})"
     if kind == "check_phi_conjecture":
         return f"check_phi_conjecture({arg - 1}, {arg - 1}, total_max={arg})"
-    if kind == "tv_eval":
-        return f"tv {' '.join(TV_EVAL)} (fresh process, cache {'hit' if arg else 'miss'})"
+    if kind in TV_COMMANDS:
+        return f"tv {' '.join(TV_COMMANDS[kind])} (fresh process, cache {'hit' if arg else 'miss'})"
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 
 def cold_rows(tree: Path) -> list[dict]:
     rows = []
     for kind, arg in COLD_GRID:
-        if kind == "tv_eval":
-            runs = [time_tv_eval(tree, arg) for _ in range(REPEAT)]
+        if kind in TV_COMMANDS:
+            runs = [time_tv(tree, kind, arg) for _ in range(REPEAT)]
         else:
             runs = [time_cold(tree, kind, INDEX, arg) for _ in range(REPEAT)]
         seconds = [run["seconds"] for run in runs]

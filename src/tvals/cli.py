@@ -29,10 +29,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .enclosure import Enclosure, _format_sci
+from .enclosure import Enclosure, _format_lower, _format_sci
 from .errors import BudgetExceededError, DivergentError, UnresolvedComparisonError
 from .evaluator import evaluate_direct, evaluate_spec
-from .indices import IndexParseError, ValueSpec, index_str, parse_index, parse_value_spec
+from .indices import IndexParseError, ValueSpec, _Frozen, index_str, parse_index, parse_value_spec
 from .numerics import PrecisionBudget
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ _DIRECT_MAX_OUTER = 1_000_000  # outer terms summed by ``eval --method direct``
 # ----------------------------------------------------------------------
 # enclosure cache
 # ----------------------------------------------------------------------
-class CacheRecord:
+class CacheRecord(_Frozen):
     """One cache line; ``__slots__`` lists the fields in their JSON order."""
 
     __slots__ = ("index", "tail_offset", "precision_bits", "lo", "hi", "method", "created_at")
@@ -73,38 +73,7 @@ class CacheRecord:
     method: str
     created_at: str
 
-    def __init__(
-        self,
-        index: list[int],
-        tail_offset: int,
-        precision_bits: int,
-        lo: str,
-        hi: str,
-        method: str,
-        created_at: str,
-    ) -> None:
-        self.index = index
-        self.tail_offset = tail_offset
-        self.precision_bits = precision_bits
-        self.lo = lo
-        self.hi = hi
-        self.method = method
-        self.created_at = created_at
-
-    def _fields(self) -> dict:
-        """The fields by name, in their JSON order."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
-        return f"{type(self).__qualname__}({inner})"
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None  # mutable, hence unhashable
+    __hash__ = None  # ``index`` is a list, hence unhashable
 
     @classmethod
     def from_enclosure(
@@ -329,7 +298,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     print(
         f"{left} vs {right}: {outcome.verdict.value}"
-        f"  separation >= {float(outcome.separation):.6e}"
+        f"  separation >= {_format_lower(outcome.separation)}"
         f"  ({outcome.bits_used} bits)"
     )
     return EXIT_OK if outcome.verdict is not order.Verdict.UNRESOLVED else EXIT_UNRESOLVED

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from decimal import Context, Decimal
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -259,6 +259,8 @@ class Enclosure:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Enclosure({self.display()}, bits={self.precision_bits})"
 
+    # written out, not derived from ``indices._Frozen``: arithmetic builds an
+    # enclosure per operation, so ``__init__`` sets the fields directly
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Enclosure):
             return NotImplemented
@@ -307,3 +309,16 @@ def _format_sci(x: Fraction) -> str:
         return f"{float(x):.3e}"
     quotient = Context(prec=4).divide(Decimal(x.numerator), Decimal(x.denominator))
     return f"{quotient:.3e}"
+
+
+def _format_lower(x: Fraction) -> str:
+    """``x >= 0`` in ``%.6e`` form rounded down, a certified lower bound, also
+    where ``float(x)`` underflows; the float's own text wherever that lies at
+    or below ``x``."""
+    if x == 0:
+        return "0.000000e+00"
+    quotient = Context(prec=7, rounding=ROUND_FLOOR).divide(
+        Decimal(x.numerator), Decimal(x.denominator)
+    )
+    mantissa, exponent = f"{quotient:.6e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"

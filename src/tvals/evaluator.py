@@ -80,19 +80,7 @@ class EvalRequest(_Frozen):
     ) -> None:
         if target_width <= 0:
             raise ValueError("target_width must be positive")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "target_width", target_width)
-        object.__setattr__(self, "budget", budget)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.target_width, self.budget))
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.spec, self.target_width, self.budget) == (
-                other.spec, other.target_width, other.budget
-            )
-        return NotImplemented
+        super().__init__(spec, target_width, budget)
 
 
 # ----------------------------------------------------------------------

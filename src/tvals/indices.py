@@ -9,6 +9,7 @@ which the innermost summation variable is restricted to exceed the offset.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -86,11 +87,39 @@ def parse_index(text: str) -> MultiIndex:
 
 class _Frozen:
     """Base of the immutable value types.  ``__slots__`` names the fields in
-    constructor order and ``__init__`` sets them with ``object.__setattr__``;
-    after that no field can be assigned or deleted.  Copies and pickles go
-    back through the constructor."""
+    declaration order, and the protocol derives from it: construction by
+    position or name, equality and hash over the field tuple, repr, and
+    copies and pickles that go back through the constructor.  After
+    ``__init__`` no field can be assigned or deleted."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, values = self.__slots__, args
+        if kwargs:
+            bound = dict(zip(names, args), **kwargs)
+            # a surplus position, or a field given twice, leaves fewer values than arguments
+            complete = len(bound) == len(args) + len(kwargs) and bound.keys() == set(names)
+            values = tuple(bound[name] for name in names) if complete else None
+        if values is None or len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes the fields {', '.join(names)}; "
+                f"got {len(args)} by position and {sorted(kwargs)} by name"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> dict:
+        """The fields by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -99,13 +128,14 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+        return (type(self), tuple(self._fields().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
         return f"{type(self).__qualname__}({fields})"
 
 
+@total_ordering
 class ValueSpec(_Frozen):
     """Names the number: full value at offset 0, tail for offset ``n >= 1``.
 
@@ -123,9 +153,12 @@ class ValueSpec(_Frozen):
             raise ValueError("tail_offset must be non-negative")
         if any(not isinstance(e, int) or e < 1 for e in index):
             raise ValueError(f"exponents must be positive integers: {index}")
+        # set directly: binding through the base's ``__init__`` is 2x slower
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "tail_offset", tail_offset)
 
+    # written out: specs key every memo, and the base's derived hash and
+    # equality are 2x slower
     def __hash__(self) -> int:
         return hash((self.index, self.tail_offset))
 
@@ -137,21 +170,6 @@ class ValueSpec(_Frozen):
     def __lt__(self, other: object):
         if other.__class__ is self.__class__:
             return (self.index, self.tail_offset) < (other.index, other.tail_offset)
-        return NotImplemented
-
-    def __le__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.index, self.tail_offset) <= (other.index, other.tail_offset)
-        return NotImplemented
-
-    def __gt__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.index, self.tail_offset) > (other.index, other.tail_offset)
-        return NotImplemented
-
-    def __ge__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.index, self.tail_offset) >= (other.index, other.tail_offset)
         return NotImplemented
 
     @property

@@ -54,9 +54,10 @@ class PrecisionBudget(_Frozen):
             raise ValueError("start_bits must be at least 8")
         if max_bits < start_bits:
             raise ValueError("max_bits must be at least start_bits")
-        object.__setattr__(self, "start_bits", start_bits)
-        object.__setattr__(self, "max_bits", max_bits)
+        super().__init__(start_bits, max_bits)
 
+    # written out: budgets key every memo, and the base's derived hash and
+    # equality are 2x slower
     def __hash__(self) -> int:
         return hash((self.start_bits, self.max_bits))
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -41,7 +40,7 @@ from typing import Iterator, Optional, Union
 from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, UnresolvedComparisonError
 from .evaluator import evaluate_spec
-from .indices import MultiIndex, ValueSpec, depth_graded_key, is_admissible
+from .indices import MultiIndex, ValueSpec, _Frozen, depth_graded_key, is_admissible
 from .numerics import PrecisionBudget, const_catalan
 
 __all__ = [
@@ -65,8 +64,7 @@ class Verdict(enum.Enum):
     UNRESOLVED = "Unresolved"
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
+class ComparisonOutcome(_Frozen):
     """Result of a certified comparison.
 
     ``separation`` is a certified lower bound on the absolute difference
@@ -74,24 +72,25 @@ class ComparisonOutcome:
     consulted.
     """
 
+    __slots__ = ("verdict", "separation", "bits_used")
     verdict: Verdict
     separation: Fraction
     bits_used: int
 
 
-@dataclass(frozen=True)
-class BetaEntry:
+class BetaEntry(_Frozen):
     """One row of the decreasing tail table."""
 
+    __slots__ = ("rank", "index", "value")
     rank: int
     index: MultiIndex
     value: Enclosure
 
 
-@dataclass(frozen=True)
-class PhiCoord:
+class PhiCoord(_Frozen):
     """Band number and (1-based) position within the band."""
 
+    __slots__ = ("band", "position")
     band: int
     position: int
 
@@ -214,7 +213,7 @@ def _quantize_down(value: Fraction) -> Fraction:
     return Fraction(32 + b, 32 * 2**a)
 
 
-def _mass_total(offset: int, budget: PrecisionBudget) -> Enclosure:
+def _mass_total(offset: int) -> Enclosure:
     """Closed-form sum of the per-depth maxima: ``2G`` for full values,
     ``(2G - 1)/2`` for tails at offset 1 (G = Catalan's constant)."""
     g = const_catalan(96)
@@ -237,7 +236,7 @@ def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int
     slack of at most ``64 * 2**-48 <= threshold / 2**10`` adds at most one
     depth, whose first candidate is decided below the threshold.  Below
     that it is ``2**-80``."""
-    total_hi = _mass_total(offset, budget).hi_fraction
+    total_hi = _mass_total(offset).hi_fraction
     mass_width = _FIRST_WIDTH if threshold >= Fraction(1, 2**32) else Fraction(1, 2**80)
     acc_lo = Fraction(0)
     for cap in range(1, 65):
@@ -283,7 +282,7 @@ def _prefixes_above(
 
 @lru_cache(maxsize=None)
 def enumerate_tails_above(
-    threshold: Fraction, budget: PrecisionBudget = _DEFAULT_BUDGET
+    threshold: Fraction, budget: Optional[PrecisionBudget] = None
 ) -> tuple[MultiIndex, ...]:
     """All indices (including the empty one) whose tail at offset 1 exceeds
     ``threshold``, deterministically ordered by decreasing value.
@@ -295,6 +294,7 @@ def enumerate_tails_above(
     :class:`~tvals.errors.UnresolvedComparisonError` when the threshold
     cannot be separated from some tail value.
     """
+    budget = budget or _DEFAULT_BUDGET
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive (the tail set is infinite)")
@@ -361,7 +361,7 @@ def _tails_down_to(threshold: Fraction, budget: PrecisionBudget) -> list[ValueSp
 
 @lru_cache(maxsize=None)
 def beta_table(
-    count: int, budget: PrecisionBudget = _DEFAULT_BUDGET
+    count: int, budget: Optional[PrecisionBudget] = None
 ) -> tuple[BetaEntry, ...]:
     """The first ``count`` tails in certified decreasing order.
 
@@ -369,6 +369,7 @@ def beta_table(
     it holds enough tails; a threshold that lands unresolvably close to some
     tail twice in a row is nudged by a small seeded dyadic perturbation.
     """
+    budget = budget or _DEFAULT_BUDGET
     if count < 1:
         raise ValueError("count must be positive")
     rng = random.Random(0x5EED)

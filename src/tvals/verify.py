@@ -20,16 +20,16 @@ import enum
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, _format_lower
 from .errors import BudgetExceededError, UnresolvedComparisonError
 from .evaluator import evaluate_spec
 from .indices import (
     MultiIndex,
     ValueSpec,
+    _Frozen,
     enumerate_admissible_up_to,
     index_str,
 )
@@ -75,18 +75,23 @@ class ScanStatus(enum.Enum):
     UNRESOLVED = "Unresolved"
 
 
-@dataclass
-class Finding:
+class Finding(_Frozen):
     """One checked item: ``verdict`` is pass / fail / unresolved / note."""
 
+    __slots__ = ("subject", "verdict", "detail", "data")
     subject: str
     verdict: str
-    detail: str = ""
-    data: dict = field(default_factory=dict)
+    detail: str
+    data: dict
+
+    def __init__(
+        self, subject: str, verdict: str, detail: str = "", data: Optional[dict] = None
+    ) -> None:
+        super().__init__(subject, verdict, detail, {} if data is None else data)
 
 
-@dataclass
-class ScanReport:
+class ScanReport(_Frozen):
+    __slots__ = ("scan_id", "parameters", "findings", "status")
     scan_id: str
     parameters: dict
     findings: list[Finding]
@@ -107,7 +112,7 @@ class ScanReport:
             "scan_id": self.scan_id,
             "parameters": self.parameters,
             "status": self.status.value,
-            "findings": [asdict(f) for f in self.findings],
+            "findings": [f._fields() for f in self.findings],
         }
         return json.dumps(payload, indent=2)
 
@@ -183,7 +188,7 @@ def _comparison_finding(
         subject=subject,
         verdict=verdict,
         detail=(details or {}).get(verdict, f"verdict {outcome.verdict.value}"),
-        data={"separation": f"{float(outcome.separation):.6e}"},
+        data={"separation": _format_lower(outcome.separation)},
     )
 
 
@@ -669,15 +674,15 @@ def scan_tail_collisions(
             Finding(
                 subject=f"{left} vs {right}",
                 verdict=verdict,
-                detail=f"adjacent separation {float(outcome.separation):.6e}",
-                data={"separation": f"{float(outcome.separation):.6e}"},
+                detail=f"adjacent separation {_format_lower(outcome.separation)}",
+                data={"separation": _format_lower(outcome.separation)},
             )
         )
     findings.append(
         Finding(
             subject="minimum adjacent separation",
             verdict="note",
-            detail=f"{float(min_separation):.6e}" if min_separation else "none",
+            detail=_format_lower(min_separation) if min_separation else "none",
         )
     )
     return ScanReport(

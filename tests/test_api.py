@@ -96,21 +96,29 @@ def test_runs_without_mpmath():
     assert result.returncode == 0, result.stderr
 
 
-_UNLOADED = ("tvals.order", "tvals.verify", "dataclasses", "datetime")
+_UNLOADED = ("tvals.order", "tvals.verify", "dataclasses", "inspect", "datetime")
 
 # fresh process: importing the package, or the CLI and running ``tv eval``
-# without a cache, leaves the order layer, the scans, ``dataclasses`` and
-# ``datetime`` unloaded; the first read of ``tvals.phi`` loads the order layer
+# without a cache, leaves the order layer, the scans, ``dataclasses``,
+# ``inspect`` and ``datetime`` unloaded; the first read of ``tvals.phi``
+# loads the order layer, and neither ``tv phi`` nor the scans load
+# ``dataclasses`` or ``inspect``
 _LEAN_SCRIPT = f"""
 import contextlib, io, sys
 import tvals
 import tvals.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert tvals.cli.main(["eval", "--index", "2,1", "--digits", "10", "--no-cache"]) == 0
+def tv(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tvals.cli.main(list(argv)) == 0
+tv("eval", "--index", "2,1", "--digits", "10", "--no-cache")
 loaded = sorted(set({_UNLOADED!r}) & set(sys.modules))
 assert not loaded, f"loaded: {{loaded}}"
 assert tvals.phi is sys.modules["tvals.order"].phi
 assert "tvals.verify" not in sys.modules
+tv("phi", "--index", "2,1,1")
+import tvals.verify
+loaded = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+assert not loaded, f"the order layer and the scans loaded: {{loaded}}"
 """
 
 
@@ -138,7 +146,7 @@ def test_lean_import_check_sees_an_eager_scan_import(tmp_path):
     assert anchor in source
     cli.write_text(source.replace(anchor, anchor + "from .verify import ScanStatus\n"), encoding="utf-8")
     result = _run_lean_script(tmp_path)
-    assert result.returncode != 0 and "loaded: ['dataclasses', 'tvals.order', 'tvals.verify']" in result.stderr
+    assert result.returncode != 0 and "loaded: ['tvals.order', 'tvals.verify']" in result.stderr
 
 
 def _unused_imports(source: str) -> list[str]:

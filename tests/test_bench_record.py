@@ -89,7 +89,14 @@ def test_cold_grid_times_tv_eval_processes():
         "tv eval --index 2,1,1,1 --digits 30 (fresh process, cache miss)"
     )
     assert record._name("tv_eval", 1).endswith("(fresh process, cache hit)")
-    for hit in (0, 1):  # time_tv_eval checks that the run missed or hit
-        got = record.time_tv_eval(ROOT, hit)
+    for hit in (0, 1):  # time_tv checks that the run missed or hit
+        got = record.time_tv(ROOT, "tv_eval", hit)
         assert got["seconds"] > 0
         assert got["python"] and got["tvals"] == "0.1.0"
+
+
+def test_cold_grid_times_a_tv_phi_process():
+    assert ("tv_phi", 0) in record.COLD_GRID
+    assert record._name("tv_phi", 0) == "tv phi --index 2,1,1,1 (fresh process, cache miss)"
+    got = record.time_tv(ROOT, "tv_phi")
+    assert got["seconds"] > 0 and got["tvals"] == "0.1.0"

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tvals.cli import main
+from tvals.indices import ValueSpec
+from tvals.order import compare
 from tvals.verify import verify_chain
 
 OK, UNRESOLVED, INVALID, COUNTEREXAMPLE = 0, 1, 2, 3
@@ -241,6 +243,29 @@ def test_compare_greater(capsys):
     code, out, _ = run(capsys, "compare", "--a", "2", "--b", "3")
     assert code == OK
     assert "Greater" in out
+
+
+def _printed_separation(out):
+    return Fraction(re.search(r"separation >= (\S+)", out).group(1))
+
+
+def test_compare_prints_a_separation_rounded_down(capsys):
+    # the nearest 7 digits, 1.819008e-01, lie above the certified bound
+    _, out, _ = run(capsys, "compare", "--a", "2", "--b", "3")
+    assert "Greater  separation >= 1.819007e-01  (96 bits)" in out
+    exact = compare(ValueSpec((2,)), ValueSpec((3,))).separation
+    assert _printed_separation(out) <= exact < Fraction("1.819008e-01")
+
+
+def test_compare_prints_a_separation_below_the_float_range(capsys):
+    # certified Greater: the tails differ by about 1/(2n)**2 = 2.5e-341
+    n = 10**170
+    left, right = ValueSpec((2,), n), ValueSpec((2,), n + 1)
+    code, out, _ = run(capsys, "compare", "--a", str(left), "--b", str(right))
+    assert code == OK and "Greater" in out
+    printed = _printed_separation(out)
+    assert 0 < printed <= compare(left, right).separation
+    assert "separation >= 2.499999e-341" in out
 
 
 def test_compare_less_with_tail_operand(capsys):

@@ -299,6 +299,18 @@ def test_tail_list_matches_beta_table(monkeypatch):
     assert specs == from_scratch
 
 
+def test_no_budget_means_the_default_budget(monkeypatch):
+    # 2**-70 above the value of t(2)_1: the first width cannot decide it,
+    # so the enumeration climbs the budget's rungs
+    tail = order._enclose(ValueSpec((2,), 1), Fraction(1, 2**100), PrecisionBudget())
+    threshold = tail.hi_fraction + Fraction(1, 2**70)
+    assert enumerate_tails_above.__wrapped__(threshold, None) == ((),)
+    assert enumerate_tails_above.__wrapped__(threshold) == ((),)
+    monkeypatch.setattr(order, "_TAIL_LISTS", {})
+    assert beta_table.__wrapped__(3, None) == beta_table.__wrapped__(3, PrecisionBudget())
+    assert list(order._TAIL_LISTS) == [PrecisionBudget()]
+
+
 def test_enclosure_memo_returns_the_computed_object():
     spec, width, budget = ValueSpec((2, 1, 2), 1), Fraction(1, 2**48), PrecisionBudget()
     assert order._enclose(spec, width, budget) is order._enclose(spec, width, budget)
@@ -308,7 +320,7 @@ def test_enclosure_memo_returns_the_computed_object():
 
 def _fine_depth_cap(threshold, offset, budget):
     """The cap from mass terms at 2**-80, the finest width the cap reads."""
-    remaining = order._mass_total(offset, budget).hi_fraction
+    remaining = order._mass_total(offset).hi_fraction
     cap = 0
     while remaining >= threshold:
         cap += 1

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tvals import order
+from tvals.indices import parse_value_spec
 from tvals.verify import (
     Finding,
     ScanReport,
@@ -96,6 +97,21 @@ def test_collisions_all_separated_at_weight_six():
     assert report.status is ScanStatus.ALL_PASSED
     assert report.counts()["pass"] == 31  # 30 adjacent pairs + transitivity note pair
     assert report.counts()["note"] == 2
+
+
+def test_scan_separations_are_lower_bounds():
+    findings = scan_tail_collisions(weight_max=5).findings
+    separations = [f.data["separation"] for f in findings if "separation" in f.data]
+    assert len(separations) == 15
+    for finding in findings[1:-1]:
+        left, right = map(parse_value_spec, finding.subject.split(" vs "))
+        printed = finding.data["separation"]
+        assert finding.detail == f"adjacent separation {printed}"
+        assert 0 < Fraction(printed) <= order.compare(left, right).separation
+    assert Fraction(findings[-1].detail) == min(map(Fraction, separations))
+    _, link = verify_chain(block_count=1, per_block=1).findings
+    left, right = map(parse_value_spec, link.subject.split(" > "))
+    assert 0 < Fraction(link.data["separation"]) <= order.compare(left, right).separation
 
 
 # --- threshold-set scans ----------------------------------------------------
