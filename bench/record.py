@@ -1,13 +1,16 @@
-"""Record one labelled set of performance rows into a ``BENCH_<n>.json`` file.
+"""Record labelled sets of performance rows into a ``BENCH_<n>.json`` file.
 
-Run from the repository root, once per source tree to compare::
+Run from the repository root with one ``--tree``/``--label`` pair per source
+tree to compare; ``--perfbench`` and ``--pytest``, when given, follow each
+pair and belong to it::
 
-    python3 bench/record.py --tree ../parent --label parent \\
-        --perfbench runs/parent_*.txt --pytest ../parent/test_output.txt --out BENCH_<n>.json
-    python3 bench/record.py --tree . --label change \\
-        --perfbench runs/change_*.txt --pytest test_output.txt --out BENCH_<n>.json
+    python3 bench/record.py --out BENCH_<n>.json \\
+        --tree ../parent --label parent \\
+        --perfbench runs/parent_*.txt --pytest ../parent/test_output.txt \\
+        --tree . --label change \\
+        --perfbench runs/change_*.txt --pytest test_output.txt
 
-Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
+Rows, each for one source tree (its ``src/`` is put on the path):
 
 * ``cold``: the fixed grid below (the evaluator layers, the order
   queries ``phi`` and ``beta_table``, and a mid-size pairing scan), each
@@ -15,7 +18,9 @@ Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
   times, with ``mpmath`` blocked so that a tree which still needs it fails
   here; and the wall time of a whole ``python -m tvals.cli`` process, from
   spawn to exit: ``tv eval`` on a cache miss and on a cache hit, and
-  ``tv phi``;
+  ``tv phi``.  Each row is timed on every tree before the next row starts,
+  the trees alternating (in reverse order on every other repeat), so that
+  a drift of the host's speed reaches all trees alike;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
   ``python3 perfbench/run.py ... --trace 0`` output (one run per file, or
   several concatenated); across runs the median, quartiles and seeds;
@@ -26,7 +31,7 @@ Rows, all for the source tree ``--tree`` (its ``src/`` is put on the path):
 
 Each row carries the stamp of the tree it measured: the Python and
 ``tvals`` versions.  Rows already in ``--out`` under another label are
-kept; rows under ``--label`` are replaced.
+kept; rows under a given ``--label`` are replaced.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ COLD_GRID = (
     ("prefix_expansion", 32),
     ("prefix_expansion", 64),
     ("prefix_expansion", 128),
+    ("evaluate_spec", 20),
     ("evaluate_spec", 30),
     ("evaluate_spec", 100),
     ("evaluate_spec", 300),
@@ -147,21 +153,28 @@ def _name(kind: str, arg: int) -> str:
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 
-def cold_rows(tree: Path) -> list[dict]:
-    rows = []
+def cold_rows(trees: list[Path]) -> list[list[dict]]:
+    """The cold rows of each tree, in the order of ``trees``: each grid row
+    is timed ``REPEAT`` times on every tree before the next row starts."""
+    rows: list[list[dict]] = [[] for _ in trees]
+    turn = list(enumerate(trees))
     for kind, arg in COLD_GRID:
-        if kind in TV_COMMANDS:
-            runs = [time_tv(tree, kind, arg) for _ in range(REPEAT)]
-        else:
-            runs = [time_cold(tree, kind, INDEX, arg) for _ in range(REPEAT)]
-        seconds = [run["seconds"] for run in runs]
-        rows.append({
-            "kind": "cold",
-            "name": _name(kind, arg),
-            "median_s": statistics.median(seconds),
-            "runs_s": seconds,
-            "stamp": {"python": runs[0]["python"], "tvals": runs[0]["tvals"]},
-        })
+        runs: list[list[dict]] = [[] for _ in trees]
+        for repeat in range(REPEAT):
+            for number, tree in turn if repeat % 2 == 0 else reversed(turn):
+                if kind in TV_COMMANDS:
+                    runs[number].append(time_tv(tree, kind, arg))
+                else:
+                    runs[number].append(time_cold(tree, kind, INDEX, arg))
+        for number, tree_runs in enumerate(runs):
+            seconds = [run["seconds"] for run in tree_runs]
+            rows[number].append({
+                "kind": "cold",
+                "name": _name(kind, arg),
+                "median_s": statistics.median(seconds),
+                "runs_s": seconds,
+                "stamp": {"python": tree_runs[0]["python"], "tvals": tree_runs[0]["tvals"]},
+            })
     return rows
 
 
@@ -247,26 +260,40 @@ def pytest_rows(path: Path, stamp: dict) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", type=Path, required=True, help="source tree to time")
-    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("--tree", type=Path, action="append", required=True,
+                        help="source tree to time; repeat once per tree")
+    parser.add_argument("--label", action="append", required=True,
+                        help="row label of the tree before it, e.g. parent or change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
-    parser.add_argument("--perfbench", type=Path, nargs="*", default=[], help="saved run.py outputs")
-    parser.add_argument("--pytest", type=Path, default=None, help="saved pytest --durations log")
+    parser.add_argument("--perfbench", type=Path, nargs="*", action="append", default=None,
+                        help="saved run.py outputs of the tree before it")
+    parser.add_argument("--pytest", type=Path, action="append", default=None,
+                        help="saved pytest --durations log of the tree before it")
     args = parser.parse_args(argv)
-    rows = cold_rows(args.tree.resolve())
-    rows += perfbench_rows(args.perfbench) + traced_rows(args.perfbench)
-    if args.pytest is not None:
-        rows += pytest_rows(args.pytest, rows[0]["stamp"])
-    for row in rows:
-        row["label"] = args.label
+    trees = len(args.tree)
+    if len(args.label) != trees or len(set(args.label)) != trees:
+        parser.error("give one distinct --label per --tree")
+    for name in ("perfbench", "pytest"):
+        if getattr(args, name) is not None and len(getattr(args, name)) != trees:
+            parser.error(f"give --{name} once per --tree, or not at all")
+    perfbench = args.perfbench or [[] for _ in args.tree]
+    pytest = args.pytest or [None] * trees
+    labelled = []
+    for label, rows, runs, durations in zip(
+        args.label, cold_rows([tree.resolve() for tree in args.tree]), perfbench, pytest
+    ):
+        rows += perfbench_rows(runs) + traced_rows(runs)
+        if durations is not None:
+            rows += pytest_rows(durations, rows[0]["stamp"])
+        labelled += [dict(row, label=label) for row in rows]
     kept = []
     if args.out.exists():
-        kept = [r for r in json.loads(args.out.read_text())["rows"] if r["label"] != args.label]
-    args.out.write_text(json.dumps({"rows": kept + rows}, indent=1) + "\n")
-    for row in rows:
+        kept = [r for r in json.loads(args.out.read_text())["rows"] if r["label"] not in args.label]
+    args.out.write_text(json.dumps({"rows": kept + labelled}, indent=1) + "\n")
+    for row in labelled:
         value = row.get("median_s", row.get("seconds", row.get("median", {}).get("throughput_rps")))
         shown = f"{value:.4g}" if value is not None else f"{row['runs']} runs"
-        print(f"{args.label:8s} {row['kind']:9s} {row['name']:50s} {shown}")
+        print(f"{row['label']:8s} {row['kind']:9s} {row['name']:50s} {shown}")
     return 0
 
 

@@ -11,10 +11,11 @@ uniform exit codes:
 The cache is an append-only UTF-8 file of one JSON record per line.
 Records carry outward-rounded decimal endpoint strings — never binary
 floats.  A record is used only if it overlaps a fresh enclosure of the
-value at width ``2**-48``; a record that misses the value is skipped with a
-warning, like a corrupt line.  That check is the cache's trust boundary: a
-record that is wrong only below ``2**-48`` is printed as certified.  Appends
-take an advisory file lock, so concurrent writers interleave whole records.
+value asked for at width ``2**-54``; a record that misses the value is
+skipped with a warning, like a corrupt line.  That check is the cache's
+trust boundary: a record that is wrong only below ``2**-54`` is printed as
+certified.  Appends take an advisory file lock, so concurrent writers
+interleave whole records.
 The path comes from ``--cache``, the ``TV_CACHE`` environment variable, or
 ``~/.cache/tv/enclosures.jsonl`` in that order.
 """
@@ -108,9 +109,10 @@ def cache_lookup(
 ) -> Optional[tuple[CacheRecord, Enclosure]]:
     """Narrowest cached enclosure for ``spec`` with at least ``min_precision``
     recorded bits.  Corrupt lines, and records disjoint from a fresh
-    enclosure of the value at width ``2**-48``, are skipped with a warning,
-    never fatal.  Only the endpoints of records for ``spec`` with enough
-    bits are decoded, so a malformed endpoint elsewhere goes unnoticed."""
+    enclosure of the value asked for at width ``2**-54``, are skipped with a
+    warning, never fatal.  Only the endpoints of records for ``spec`` with
+    enough bits are decoded, so a malformed endpoint elsewhere goes
+    unnoticed."""
     if not path.exists():
         return None
     best: Optional[tuple[CacheRecord, Enclosure]] = None
@@ -131,7 +133,7 @@ def cache_lookup(
                 continue
             enclosure = record.to_enclosure()
             if reference is None:
-                reference = evaluate_spec(spec, Fraction(1, 2**48))
+                reference = evaluate_spec(spec, Fraction(1, 2**54))
             if not enclosure.overlaps(reference):
                 raise ValueError(f"[{record.lo}, {record.hi}] misses the value of {spec}")
         except (ValueError, TypeError, KeyError) as exc:
@@ -457,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="accelerated")
     p_eval.add_argument("--cache", default=None,
                         help="cache file path; a cached record is checked only "
-                        "against a fresh 2^-48 enclosure, so a record that is "
+                        "against a fresh 2^-54 enclosure, so a record that is "
                         "wrong only below that width prints as certified")
     p_eval.add_argument("--no-cache", action="store_true")
     add_common(p_eval)

@@ -10,8 +10,11 @@ Two independent evaluators are provided:
   scaled-integer fixed point, flooring lower and ceiling upper endpoints.
   A planner prices each expansion order from an estimate of its remainder
   bound, weighing the recurrence steps against the cost of building the
-  expansions, and builds only the order it picks; a precision ladder
-  retries with more bits until the requested width is met.
+  expansions, and builds only the order it picks.  The first plan aims at
+  the requested width, not at the precision floor of its rung, so a caller
+  that wants a narrower enclosure must ask for it; a precision ladder
+  retries with more bits, planned for each rung's floor, until the
+  requested width is met.
 * :func:`evaluate_direct` — the reference oracle.  It sums the defining
   nested series directly in scaled-integer fixed point, one floored pass
   per level over blocks of outer values, and adds an a-priori bound on
@@ -363,7 +366,12 @@ def _evaluate_cached(
     attempts = usable if usable else [rungs[-1]]
     best: Optional[Enclosure] = None
     for bits in attempts:
-        tau = min(target_width, Fraction(1, 2 ** (bits - 10)))
+        # the first plan aims at the width asked for: on a usable rung the
+        # rounding, about d * steps * 2**-(bits+32), is far below the rung
+        # floor, so the rung sets only the fixed-point bits; a retry after a
+        # missed width plans for the rung floor
+        floor = Fraction(1, 2 ** (bits - 10))
+        tau = target_width if best is None else min(target_width, floor)
         order, seed = _plan(index, offset, tau)
         enclosure = _evaluate_at(index, offset, bits, order, seed)
         if best is None or enclosure.width() < best.width():
@@ -381,6 +389,9 @@ def _evaluate_cached(
 def evaluate(request: EvalRequest) -> Enclosure:
     """Certified enclosure of the value named by ``request.spec``.
 
+    The enclosure is at most ``request.target_width`` wide.  It is planned
+    for that width, not for the precision floor of the rung it runs on, so
+    a caller that needs a narrower enclosure must ask for one.
     Deterministic: identical requests return identical enclosures.  Raises
     :class:`DivergentError` for inadmissible indices and
     :class:`BudgetExceededError` (carrying the narrowest partial result)

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("record", ROOT / "bench" / "record.py")
 record = importlib.util.module_from_spec(_spec)
@@ -100,3 +102,78 @@ def test_cold_grid_times_a_tv_phi_process():
     assert record._name("tv_phi", 0) == "tv phi --index 2,1,1,1 (fresh process, cache miss)"
     got = record.time_tv(ROOT, "tv_phi")
     assert got["seconds"] > 0 and got["tvals"] == "0.1.0"
+
+
+def test_cold_grid_times_t2111_at_1e_20():
+    assert ("evaluate_spec", 20) in record.COLD_GRID
+    assert record._name("evaluate_spec", 20) == "evaluate_spec(T(2, 1, 1, 1), 1e-20)"
+    got = record.time_cold(ROOT, "evaluate_spec", (2, 1, 1, 1), 20)
+    assert got["seconds"] > 0 and got["tvals"] == "0.1.0"
+
+
+def _fake_timers(monkeypatch, calls):
+    """Replace both timers by ones that log ``(tree, kind)`` and take a
+    second per character of the tree's name."""
+
+    def timed(tree, kind):
+        calls.append((tree.name, kind))
+        return {"seconds": float(len(tree.name)), "python": "3.x", "tvals": tree.name}
+
+    monkeypatch.setattr(record, "time_cold", lambda tree, kind, index, arg: timed(tree, kind))
+    monkeypatch.setattr(record, "time_tv", lambda tree, kind, hit=0: timed(tree, kind))
+    monkeypatch.setattr(record, "COLD_GRID", (("prefix_expansion", 8), ("tv_eval", 0)))
+    monkeypatch.setattr(record, "REPEAT", 3)
+
+
+def test_cold_rows_time_each_row_on_every_tree_in_turn(tmp_path, monkeypatch):
+    calls = []
+    _fake_timers(monkeypatch, calls)
+    a, b = tmp_path / "a", tmp_path / "bb"
+    rows_a, rows_b = record.cold_rows([a, b])
+    turns = ["a", "bb", "bb", "a", "a", "bb"]
+    assert calls == [(t, "prefix_expansion") for t in turns] + [(t, "tv_eval") for t in turns]
+    assert [row["median_s"] for row in rows_a] == [1.0, 1.0]
+    assert [row["runs_s"] for row in rows_b] == [[2.0] * 3] * 2
+    assert rows_b[1]["name"].startswith("tv eval") and rows_b[1]["stamp"]["tvals"] == "bb"
+
+
+def test_main_labels_each_tree_with_its_own_runs(tmp_path, monkeypatch):
+    calls = []
+    _fake_timers(monkeypatch, calls)
+    runs = {}
+    for label, throughput in (("parent", 100.0), ("change", 150.0)):
+        runs[label] = tmp_path / f"{label}.txt"
+        runs[label].write_text(_run_output("eval_highprec", 1, 0, throughput) + "\n")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"rows": [
+        {"label": "older", "kind": "cold", "name": "x"},
+        {"label": "parent", "kind": "cold", "name": "stale"},
+    ]}))
+    assert record.main([
+        "--out", str(out),
+        "--tree", str(tmp_path / "a"), "--label", "parent", "--perfbench", str(runs["parent"]),
+        "--tree", str(tmp_path / "bb"), "--label", "change", "--perfbench", str(runs["change"]),
+    ]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["name"] for row in rows if row["label"] == "older"] == ["x"]
+    assert "stale" not in [row["name"] for row in rows]
+    for label, tree, throughput in (("parent", "a", 100.0), ("change", "bb", 150.0)):
+        mine = [row for row in rows if row["label"] == label]
+        assert [row["kind"] for row in mine] == ["cold", "cold", "perfbench"]
+        assert {row["stamp"]["tvals"] for row in mine[:2]} == {tree}
+        assert mine[2]["median"]["throughput_rps"] == throughput
+    assert calls[:2] == [("a", "prefix_expansion"), ("bb", "prefix_expansion")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tree", "a", "--label", "x", "--tree", "b"],
+    ["--tree", "a", "--label", "x", "--tree", "b", "--label", "x"],
+    ["--tree", "a", "--label", "x", "--perfbench", "p", "--tree", "b", "--label", "y"],
+    ["--tree", "a", "--label", "x", "--pytest", "p", "--tree", "b", "--label", "y"],
+], ids=["missing-label", "same-label", "one-perfbench", "one-pytest"])
+def test_main_rejects_options_that_do_not_pair_with_the_trees(argv, tmp_path, monkeypatch):
+    _fake_timers(monkeypatch, [])
+    with pytest.raises(SystemExit) as excinfo:
+        record.main(["--out", str(tmp_path / "BENCH.json"), *argv])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "BENCH.json").exists()

@@ -2,12 +2,15 @@
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from tvals.cli import main
-from tvals.indices import ValueSpec
+from tvals.evaluator import evaluate_spec
+from tvals.indices import ValueSpec, parse_index
+from tvals.numerics import const_pi
 from tvals.order import compare
 from tvals.verify import verify_chain
 
@@ -166,6 +169,32 @@ def test_cache_record_that_misses_the_value_is_skipped(cache_path, capsys):
     assert "skipping corrupt cache line 1" in err
 
 
+def test_cache_record_outside_the_reference_is_skipped(cache_path, capsys):
+    # the reference is asked for at 2^-54: a record just above it, though
+    # inside the wider enclosure that a plain 2^-48 request returns, is
+    # refused
+    spec = ValueSpec((2,), 0)
+    reference = evaluate_spec(spec, Fraction(1, 2**54))
+    plain = evaluate_spec(spec, Fraction(1, 2**48))
+    middle = (reference.hi_fraction + plain.hi_fraction) / 2
+    point = f"{Decimal(middle.numerator) / Decimal(middle.denominator):.25f}"
+    assert reference.hi_fraction < Fraction(point) < plain.hi_fraction
+    forged = {
+        "index": [2],
+        "tail_offset": 0,
+        "precision_bits": 200,
+        "lo": point,
+        "hi": point,
+        "method": "accelerated",
+        "created_at": "2020-01-01T00:00:00+00:00",
+    }
+    cache_path.write_text(json.dumps(forged) + "\n")
+    code, out, err = run(capsys, "eval", "--index", "2", "--digits", "10")
+    assert code == OK
+    assert "(cached" not in out
+    assert "skipping corrupt cache line 1" in err and "misses the value" in err
+
+
 def test_cache_lookup_decodes_only_the_records_it_can_use(cache_path, capsys, monkeypatch):
     from tvals.enclosure import Enclosure
 
@@ -291,12 +320,20 @@ def test_compare_invalid_operand(capsys):
 # --- beta / phi / chain -----------------------------------------------------
 
 def test_beta_table_output(capsys):
+    # the table is certified at 2^-48 and printed to 24 digits, each endpoint
+    # rounded outward by at most 10^-24
     code, out, _ = run(capsys, "beta", "--count", "4")
     assert code == OK
-    rows = [l for l in out.splitlines() if l.strip() and not l.startswith("rank")]
-    assert len(rows) == 4
-    assert "0.2337005501361698" in out
-    assert "0.0517997902646449" in out
+    rows = re.findall(r"beta_(\d+)\s+source (\S+)\s+\[(\S+), (\S+)\]", out)
+    assert [int(rank) for rank, *_ in rows] == [1, 2, 3, 4]
+    for rank, source, lo, hi in rows:
+        lo, hi = Fraction(lo), Fraction(hi)
+        assert hi - lo <= Fraction(1, 2**48) + Fraction(2, 10**24)
+        value = evaluate_spec(ValueSpec(parse_index(source), 1), Fraction(1, 10**40))
+        assert lo <= value.lo_fraction and value.hi_fraction <= hi
+        if rank == "2":  # beta_2 = t(2)_1 = pi^2/8 - 1
+            pi = const_pi(200)
+            assert lo <= pi.lo_fraction**2 / 8 - 1 and pi.hi_fraction**2 / 8 - 1 <= hi
 
 
 def test_phi_coordinates(capsys):

@@ -482,6 +482,52 @@ def test_plan_prices_the_expansion_build(monkeypatch):
             assert order <= 32
 
 
+def spy_plan(monkeypatch, first=None):
+    """Record the ``tau`` of every ``_plan`` call; ``first``, if given,
+    replaces the plan of the first call."""
+    taus = []
+    real = evaluator._plan
+
+    def spy(index, offset, tau):
+        taus.append(tau)
+        if first is not None and len(taus) == 1:
+            return first(index, offset, tau)
+        return real(index, offset, tau)
+
+    monkeypatch.setattr(evaluator, "_plan", spy)
+    return taus
+
+
+LADDER_CASES = [
+    (index, offset, Fraction(1, 10**e))
+    for index, offset in (((3,), 0), ((2, 1), 1), ((2, 2, 1), 0), ((2, 1, 1, 1), 0))
+    for e in range(15, 50, 5)
+]
+
+
+@pytest.mark.parametrize("index,offset,width", LADDER_CASES, ids=str)
+def test_ladder_plans_for_the_requested_width(index, offset, width, monkeypatch):
+    # the first rung plans for the width asked for, not for the rung floor
+    reference = enclosure_of(index, offset, Fraction(1, 10**60))
+    taus = spy_plan(monkeypatch)
+    got = evaluator._evaluate_cached.__wrapped__(index, offset, width, PrecisionBudget())
+    assert taus[0] == width
+    assert got.width() <= width
+    assert got.overlaps(reference)
+
+
+def test_ladder_retries_a_missed_width_at_the_rung_floor(monkeypatch):
+    index, offset, width = (2, 1, 1), 0, Fraction(1, 10**30)
+    budget = PrecisionBudget()
+    usable = [b for b in budget.rungs() if Fraction(1, 2 ** (b - 10)) <= width]
+    # a seed one step above the offset leaves the remainder far above width
+    taus = spy_plan(monkeypatch, first=lambda index, offset, tau: (8, offset + 1))
+    got = evaluator._evaluate_cached.__wrapped__(index, offset, width, budget)
+    assert taus == [width, Fraction(1, 2 ** (usable[1] - 10))]
+    assert got.width() <= width
+    assert got.overlaps(enclosure_of(index, offset, Fraction(1, 10**60)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     ratio=st.integers(min_value=1, max_value=2**4000),
@@ -567,7 +613,7 @@ def test_order_128_expansions_are_frozen():
 # depth <= 4 indices.  The endpoints follow the planner's plans, so a
 # planner change moves this digest; the order facts that must not move are
 # pinned apart, as the ranks and indices of beta_table(12) in test_order.py
-FAST_PATH_SHA256 = "81203339cb289e2929b84284f03a0959c1e551c9d8147e7f672b442829ff4487"
+FAST_PATH_SHA256 = "c761ad5f1afd33aa09b51880b1152c5a2e70228df77009ee7974b8c7bbf84209"
 
 
 def test_fast_path_enclosures_are_frozen():
