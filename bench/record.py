@@ -18,7 +18,9 @@ Rows, each for one source tree (its ``src/`` is put on the path):
   times, with ``mpmath`` blocked so that a tree which still needs it fails
   here; and the wall time of a whole ``python -m tvals.cli`` process, from
   spawn to exit: ``tv eval`` on a cache miss and on a cache hit, and
-  ``tv phi``.  Each row is timed on every tree before the next row starts,
+  ``tv phi``.  Each tree's ``src/`` is compiled (``python -m compileall``)
+  before the first row, so that stale bytecode is not timed as the tree's
+  own cost.  Each row is timed on every tree before the next row starts,
   the trees alternating (in reverse order on every other repeat), so that
   a drift of the host's speed reaches all trees alike;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
@@ -153,9 +155,18 @@ def _name(kind: str, arg: int) -> str:
     return f"evaluate_spec(T{INDEX}, 1e-{arg})"
 
 
+def compile_tree(tree: Path) -> None:
+    """Write fresh bytecode for the tree's sources, so that no timed process
+    recompiles a module whose ``__pycache__`` is stale or missing."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
+
+
 def cold_rows(trees: list[Path]) -> list[list[dict]]:
-    """The cold rows of each tree, in the order of ``trees``: each grid row
-    is timed ``REPEAT`` times on every tree before the next row starts."""
+    """The cold rows of each tree, in the order of ``trees``: each tree is
+    compiled first, then each grid row is timed ``REPEAT`` times on every
+    tree before the next row starts."""
+    for tree in trees:
+        compile_tree(tree)
     rows: list[list[dict]] = [[] for _ in trees]
     turn = list(enumerate(trees))
     for kind, arg in COLD_GRID:

@@ -8,14 +8,21 @@ uniform exit codes:
 * ``2`` — invalid input,
 * ``3`` — a scan found a certified counterexample.
 
+:func:`main` alone maps library errors to codes 1 and 2, each printed as
+one ``error:`` line: ``ValueError`` (bad input, divergent index) and
+``OSError`` exit 2, ``UnresolvedComparisonError`` and
+``BudgetExceededError`` exit 1.
+
 The cache is an append-only UTF-8 file of one JSON record per line.
 Records carry outward-rounded decimal endpoint strings — never binary
 floats.  A record is used only if it overlaps a fresh enclosure of the
 value asked for at width ``2**-54``; a record that misses the value is
 skipped with a warning, like a corrupt line.  That check is the cache's
 trust boundary: a record that is wrong only below ``2**-54`` is printed as
-certified.  Appends take an advisory file lock, so concurrent writers
-interleave whole records.
+certified.  The narrowest usable record answers ``tv eval`` when its width
+alone is at most ``10**-digits``; otherwise the value is computed afresh,
+and that fresh enclosure is printed and appended.  Appends take an advisory
+file lock, so concurrent writers interleave whole records.
 The path comes from ``--cache``, the ``TV_CACHE`` environment variable, or
 ``~/.cache/tv/enclosures.jsonl`` in that order.
 """
@@ -33,7 +40,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .enclosure import Enclosure, _format_lower, _format_sci
 from .errors import BudgetExceededError, DivergentError, UnresolvedComparisonError
 from .evaluator import evaluate_direct, evaluate_spec
-from .indices import IndexParseError, ValueSpec, _Frozen, index_str, parse_index, parse_value_spec
+from .indices import ValueSpec, _Frozen, index_str, parse_index, parse_value_spec
 from .numerics import PrecisionBudget
 
 if TYPE_CHECKING:
@@ -104,15 +111,13 @@ def default_cache_path() -> Path:
     return Path.home() / ".cache" / "tv" / "enclosures.jsonl"
 
 
-def cache_lookup(
-    path: Path, spec: ValueSpec, min_precision: int
-) -> Optional[tuple[CacheRecord, Enclosure]]:
-    """Narrowest cached enclosure for ``spec`` with at least ``min_precision``
-    recorded bits.  Corrupt lines, and records disjoint from a fresh
-    enclosure of the value asked for at width ``2**-54``, are skipped with a
-    warning, never fatal.  Only the endpoints of records for ``spec`` with
-    enough bits are decoded, so a malformed endpoint elsewhere goes
-    unnoticed."""
+def cache_lookup(path: Path, spec: ValueSpec) -> Optional[tuple[CacheRecord, Enclosure]]:
+    """Narrowest cached enclosure for ``spec``; the caller decides by its
+    width alone whether it answers a request.  Corrupt lines, and records
+    disjoint from a fresh enclosure of the value asked for at width
+    ``2**-54``, are skipped with a warning, never fatal.  Only the endpoints
+    of records for ``spec`` are decoded, so a malformed endpoint elsewhere
+    goes unnoticed."""
     if not path.exists():
         return None
     best: Optional[tuple[CacheRecord, Enclosure]] = None
@@ -128,8 +133,6 @@ def cache_lookup(
             payload = json.loads(line)
             record = CacheRecord(**payload)
             if tuple(record.index) != spec.index or record.tail_offset != spec.tail_offset:
-                continue
-            if record.precision_bits < min_precision:
                 continue
             enclosure = record.to_enclosure()
             if reference is None:
@@ -219,55 +222,37 @@ def _status_exit(reports: Sequence[ScanReport]) -> int:
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        spec = ValueSpec(parse_index(args.index), args.tail)
-    except IndexParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    spec = ValueSpec(parse_index(args.index), args.tail)
     digits = args.digits
-    min_bits = int(digits * 3.33) + 8
     cache_path = _cache_path_from(args)
-    # one read serves both the hit check and the intersection below
-    prior = cache_lookup(cache_path, spec, 2) if cache_path is not None else None
-    if (
-        prior is not None
-        and prior[0].precision_bits >= min_bits
-        and prior[1].width() <= Fraction(1, 10**digits)
-    ):
-        lo, hi = prior[1].decimal_strings(digits)
-        print(f"{spec}  in  [{lo}, {hi}]  (cached, {prior[0].method})")
+    cached = cache_lookup(cache_path, spec) if cache_path is not None else None
+    if cached is not None and cached[1].width() <= Fraction(1, 10**digits):
+        lo, hi = cached[1].decimal_strings(digits)
+        print(f"{spec}  in  [{lo}, {hi}]  (cached, {cached[0].method})")
         return EXIT_OK
     target = Fraction(1, 10 ** (digits + 2))
-    budget = _budget_from(args)
     shortfall = None  # why the printed enclosure misses the requested digits
     try:
         if args.method == "direct":
             enclosure = evaluate_direct(spec, max_outer=_DIRECT_MAX_OUTER)
         else:
-            enclosure = evaluate_spec(spec, target, budget)
-    except ValueError as exc:
-        message = str(exc)
-        if args.method == "direct" and not isinstance(exc, DivergentError):
-            # an offset or depth beyond the oracle's terms; the library's
-            # advice after ";" to raise max_outer has no option here
-            message = (
-                f"--method direct sums at most {_DIRECT_MAX_OUTER:,} outer terms "
-                f"and cannot certify {spec} ({message.partition(';')[0]}); "
-                "use the default method instead"
-            )
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_INVALID
+            enclosure = evaluate_spec(spec, target, _budget_from(args))
     except BudgetExceededError as exc:
         if exc.partial is None:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNRESOLVED
+            raise
         enclosure = exc.partial
         shortfall = "budget exceeded"
+    except ValueError as exc:
+        if args.method != "direct" or isinstance(exc, DivergentError):
+            raise
+        # an offset or depth beyond the oracle's terms; the library's
+        # advice after ";" to raise max_outer has no option here
+        raise ValueError(
+            f"--method direct sums at most {_DIRECT_MAX_OUTER:,} outer terms "
+            f"and cannot certify {spec} ({str(exc).partition(';')[0]}); "
+            "use the default method instead"
+        ) from None
     if cache_path is not None:
-        if prior is not None and enclosure.overlaps(prior[1]):
-            # intersecting with earlier records keeps successive cached
-            # enclosures nested while still containing the exact value
-            enclosure = enclosure.intersect(prior[1])
         record = CacheRecord.from_enclosure(spec, enclosure, args.method, digits + 6)
         cache_store(cache_path, record)
     if shortfall is None and enclosure.width() > Fraction(1, 10**digits):
@@ -287,17 +272,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import order
 
-    try:
-        left = parse_value_spec(args.a)
-        right = parse_value_spec(args.b)
-    except IndexParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        outcome = order.compare(left, right, _budget_from(args))
-    except DivergentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    left = parse_value_spec(args.a)
+    right = parse_value_spec(args.b)
+    outcome = order.compare(left, right, _budget_from(args))
     print(
         f"{left} vs {right}: {outcome.verdict.value}"
         f"  separation >= {_format_lower(outcome.separation)}"
@@ -309,14 +286,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_beta(args: argparse.Namespace) -> int:
     from . import order
 
-    budget = _budget_from(args)
-    try:
-        entries = order.beta_table(args.count, budget)
-    except (UnresolvedComparisonError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
     rows = []
-    for entry in entries:
+    for entry in order.beta_table(args.count, _budget_from(args)):
         lo, hi = entry.value.decimal_strings(24)
         rows.append(
             {
@@ -340,20 +311,10 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 def _cmd_phi(args: argparse.Namespace) -> int:
     from . import order
 
-    try:
-        index = parse_index(args.index)
-    except IndexParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    index = parse_index(args.index)
     if len(index) == 0:
-        print("error: the empty index names the constant 1, not a series value",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        coord = order.phi(index, _budget_from(args))
-    except (UnresolvedComparisonError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
+        raise ValueError("the empty index names the constant 1, not a series value")
+    coord = order.phi(index, _budget_from(args))
     print(f"phi({index_str(index)}) = ({coord.band}, {coord.position})")
     return EXIT_OK
 
@@ -378,11 +339,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     budget = _budget_from(args)
     nmax = args.nmax
     families = ((), (2,), (2, 1)) if args.suite in ("limits", "all") else ()
-    try:  # run first, so that an n_max too small for a family exits before any suite
-        limits = [verify.verify_limits(index, nmax or 12, budget=budget) for index in families]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # run first, so that an n_max too small for a family exits before any suite
+    limits = [verify.verify_limits(index, nmax or 12, budget=budget) for index in families]
     reports: list[ScanReport] = []
     if args.suite in ("identities", "all"):
         reports.append(verify.verify_repeated(nmax or 3, budget=budget))
@@ -515,9 +473,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # invalid input, or an unusable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (UnresolvedComparisonError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVED
 
 
 if __name__ == "__main__":

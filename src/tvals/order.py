@@ -359,20 +359,14 @@ def _tails_down_to(threshold: Fraction, budget: PrecisionBudget) -> list[ValueSp
     ))
 
 
-@lru_cache(maxsize=None)
-def beta_table(
-    count: int, budget: Optional[PrecisionBudget] = None
-) -> tuple[BetaEntry, ...]:
-    """The first ``count`` tails in certified decreasing order.
+def _tails_through(count: int, budget: PrecisionBudget) -> list[ValueSpec]:
+    """The certified tail list, holding at least ``count`` tails.
 
     Extends the tail list by lowering its threshold by factors of two until
     it holds enough tails; a threshold that lands unresolvably close to some
     tail twice in a row is nudged by a small seeded dyadic perturbation.
     """
-    budget = budget or _DEFAULT_BUDGET
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = random.Random(0x5EED)
+    rng = None  # seeded on the first nudge, so every call nudges alike
     threshold = Fraction(1, 2)
     strikes = 0
     while True:
@@ -381,6 +375,7 @@ def beta_table(
         except UnresolvedComparisonError:
             strikes += 1
             if strikes >= 2:
+                rng = rng or random.Random(0x5EED)
                 jitter = Fraction(rng.getrandbits(16) + 1, 2**24)
                 threshold = threshold * (1 - jitter)
             else:
@@ -388,15 +383,25 @@ def beta_table(
             continue
         strikes = 0
         if len(ordered) >= count:
-            break
+            return ordered
         threshold = threshold / 2
         if threshold < Fraction(1, 2**200):
             raise BudgetExceededError(
                 f"could not find {count} tails above 2**-200"
             )
+
+
+def beta_table(
+    count: int, budget: Optional[PrecisionBudget] = None
+) -> tuple[BetaEntry, ...]:
+    """The first ``count`` tails in certified decreasing order, each with its
+    enclosure at width ``2**-48``."""
+    budget = budget or _DEFAULT_BUDGET
+    if count < 1:
+        raise ValueError("count must be positive")
     return tuple(
         BetaEntry(position, spec.index, _enclose(spec, _FIRST_WIDTH, budget))
-        for position, spec in enumerate(ordered[:count], start=1)
+        for position, spec in enumerate(_tails_through(count, budget)[:count], start=1)
     )
 
 
@@ -460,14 +465,14 @@ def band_prefix(
     alpha_lo = alpha.lo_fraction if isinstance(alpha, Enclosure) else Fraction(alpha)
     if alpha_lo <= 0:
         raise ValueError("alpha must be positive")
-    table = beta_table(band, budget)
-    floor_spec = ValueSpec(table[band - 1].index, 1)
+    tails = _tails_through(band, budget)
+    floor_spec = tails[band - 1]
     if _scalar_verdict(floor_spec, alpha_lo, budget) is not Verdict.LESS:
         raise ValueError(
             f"alpha={_format_sci(alpha_lo)} is not certifiably above the "
             f"band-{band} floor (tail of {floor_spec.index})"
         )
-    top_spec = None if band == 1 else ValueSpec(table[band - 2].index, 1)
+    top_spec = None if band == 1 else tails[band - 2]
 
     def walk(threshold: Fraction) -> Iterator[ValueSpec]:
         # depth-1 values exceed 1 and live in band 1
@@ -532,7 +537,7 @@ def phi(
         raise ValueError(f"index {index} is not admissible")
     spec = ValueSpec(index, 0)
     band = band_of_value(index, budget)
-    floor_spec = ValueSpec(beta_table(band, budget)[band - 1].index, 1)
+    floor_spec = _tails_through(band, budget)[band - 1]
     for width in _refinement_widths(budget):
         enclosure = _enclose(spec, width, budget)
         alpha = enclosure.lo_fraction - enclosure.width()

@@ -29,12 +29,14 @@ from .evaluator import evaluate_spec
 from .indices import (
     MultiIndex,
     ValueSpec,
+    _compositions,
     _Frozen,
     enumerate_admissible_up_to,
     index_str,
 )
 from .numerics import PrecisionBudget, const_catalan, const_pi, euler_int
 from .order import (
+    _FIRST_WIDTH,
     ComparisonOutcome,
     Verdict,
     band_of_value,
@@ -60,8 +62,6 @@ __all__ = [
     "check_phi_conjecture",
     "CATALAN_GAP_BOUNDS",
 ]
-
-_DEFAULT_BUDGET = PrecisionBudget()
 
 # Frozen calibration for the partial-sum gap check: the residual mass after
 # twelve terms was measured once at high precision (about 2.4415e-4) and is
@@ -127,15 +127,18 @@ class ScanReport(_Frozen):
         )
 
 
-def _status_of(findings: Sequence[Finding]) -> ScanStatus:
-    """Counterexample on any failure; else Unresolved on any unresolved
+def _report(scan_id: str, parameters: dict, findings: list[Finding]) -> ScanReport:
+    """The report of a scan, its status derived from the findings:
+    Counterexample on any failure; else Unresolved on any unresolved
     finding, or when nothing was checked (no pass); else AllPassed."""
     verdicts = {f.verdict for f in findings}
     if "fail" in verdicts:
-        return ScanStatus.COUNTEREXAMPLE
-    if "unresolved" in verdicts or "pass" not in verdicts:
-        return ScanStatus.UNRESOLVED
-    return ScanStatus.ALL_PASSED
+        status = ScanStatus.COUNTEREXAMPLE
+    elif "unresolved" in verdicts or "pass" not in verdicts:
+        status = ScanStatus.UNRESOLVED
+    else:
+        status = ScanStatus.ALL_PASSED
+    return ScanReport(scan_id, parameters, findings, status)
 
 
 def _enc_json(enclosure: Enclosure, digits: int = 36) -> dict:
@@ -207,7 +210,6 @@ def verify_repeated(
     ``2``-repeats give ``pi^(2n)/((2n)! 2^(2n))``, ``4``-repeats give
     ``pi^(4n)/((4n)! 2^(2n))``, ``6``-repeats give ``3 pi^(6n)/((6n)! 4)``.
     """
-    budget = budget or _DEFAULT_BUDGET
     tolerance = Fraction(tolerance)
     bits = 160 + 8 * n_max
     pi = const_pi(bits)
@@ -231,29 +233,11 @@ def verify_repeated(
                     f"repeat base {base}, {n} copies",
                 )
             )
-    return ScanReport(
+    return _report(
         "repeated-closed-forms",
         {"n_max": n_max, "tolerance": str(tolerance)},
         findings,
-        _status_of(findings),
     )
-
-
-def _even_compositions(total_half: int, parts: int) -> Iterator[MultiIndex]:
-    """All indices of weight ``2*total_half`` and depth ``parts`` with every
-    exponent even (hence at least 2, hence admissible)."""
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (2 * remaining,)
-            return
-        for first in range(1, remaining - slots + 2):
-            for rest in rec(remaining - first, slots - 1):
-                yield (2 * first,) + rest
-
-    if parts < 1 or total_half < parts:
-        return
-    yield from rec(total_half, parts)
 
 
 def verify_sum_formula(
@@ -268,14 +252,14 @@ def verify_sum_formula(
     match ``(-1)^(n-d) pi^(2n) / (4^n (2n)!) *
     sum_l C(n-l, d) C(2n, 2l) E_{2l}`` with exact integer Euler numbers.
     """
-    budget = budget or _DEFAULT_BUDGET
     tolerance = Fraction(tolerance)
     bits = 192 + 8 * n_max
     pi = const_pi(bits)
     findings = []
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
-            members = list(_even_compositions(n, d))
+            # the even indices of weight 2n and depth d: compositions of n, doubled
+            members = [tuple(2 * part for part in c) for c in _compositions(n, d, 1)]
             accumulator: Optional[Enclosure] = None
             member_width = tolerance / (8 * max(len(members), 1))
             for index in members:
@@ -295,11 +279,10 @@ def verify_sum_formula(
                     f"{len(members)} even indices",
                 )
             )
-    return ScanReport(
+    return _report(
         "even-weight-sum",
         {"n_max": n_max, "tolerance": str(tolerance)},
         findings,
-        _status_of(findings),
     )
 
 
@@ -314,7 +297,6 @@ def verify_catalan(
     with a frozen calibration) checks the final gap against the recorded
     ceiling.
     """
-    budget = budget or _DEFAULT_BUDGET
     total = const_catalan(160).scale_pow2(1)
     findings = []
     partial: Optional[Enclosure] = None
@@ -357,11 +339,10 @@ def verify_catalan(
                 data={"gap": _enc_json(previous_gap), "bound": str(bound)},
             )
         )
-    return ScanReport(
+    return _report(
         "catalan-partial-sums",
         {"j_max": j_max},
         findings,
-        _status_of(findings),
     )
 
 
@@ -379,7 +360,6 @@ def verify_tail_recurrence(
     Checks ``t(k)_n = t(k)_{n+1} + (2n+1)**(-k_d) * t(k_1..k_{d-1})_{n+1}``
     at each requested offset, where the empty prefix contributes exactly 1.
     """
-    budget = budget or _DEFAULT_BUDGET
     tolerance = Fraction(tolerance)
     width = tolerance / 16
     findings = []
@@ -401,7 +381,7 @@ def verify_tail_recurrence(
                     "one-step recurrence",
                 )
             )
-    return ScanReport(
+    return _report(
         "tail-recurrence",
         {
             "weight_max": weight_max,
@@ -409,7 +389,6 @@ def verify_tail_recurrence(
             "offsets": list(offsets),
         },
         findings,
-        _status_of(findings),
     )
 
 
@@ -425,7 +404,6 @@ def verify_monotonicity(
     exponent strictly lowers the value, and raising the tail offset strictly
     lowers the value.
     """
-    budget = budget or _DEFAULT_BUDGET
     rng = random.Random(seed)
     pool = enumerate_admissible_up_to(weight_max - 1)
     findings = []
@@ -443,11 +421,10 @@ def verify_monotonicity(
             label = f"{index_str(index)} offset {n} vs {n + 1}"
         outcome = compare(left, right, budget)
         findings.append(_comparison_finding(label, outcome, Verdict.GREATER))
-    return ScanReport(
+    return _report(
         "monotonicity",
         {"pair_count": pair_count, "weight_max": weight_max, "seed": seed},
         findings,
-        _status_of(findings),
     )
 
 
@@ -476,7 +453,6 @@ def verify_chain(
     the empty index, whose first appended value would be the divergent
     single-1 index; the walk therefore starts at exponent 2 (noted).
     """
-    budget = budget or _DEFAULT_BUDGET
     chain: list[tuple[str, ValueSpec]] = []
     for members, tail in _chain_blocks(block_count, per_block, budget):
         chain.extend((index_str(member), ValueSpec(member, 0)) for member in members)
@@ -494,11 +470,10 @@ def verify_chain(
         outcome = compare(left, right, budget)
         subject = f"{left_label} > {right_label}"
         findings.append(_comparison_finding(subject, outcome, Verdict.GREATER))
-    return ScanReport(
+    return _report(
         "descending-chain",
         {"block_count": block_count, "per_block": per_block},
         findings,
-        _status_of(findings),
     )
 
 
@@ -519,7 +494,6 @@ def verify_limits(
     ``n_max`` is below the family's first exponent, or equal to it: the
     envelope is frozen from the first member, so one member leaves it untested.
     """
-    budget = budget or _DEFAULT_BUDGET
     n_start = 2 if len(index) == 0 else 1
     if n_max < n_start:
         raise ValueError(f"n_max must be at least {n_start} for index {index_str(index)}")
@@ -570,11 +544,10 @@ def verify_limits(
             data={"constant": str(constant)},
         )
     )
-    return ScanReport(
+    return _report(
         "limit-approach",
         {"index": index_str(index), "n_max": n_max},
         findings,
-        _status_of(findings),
     )
 
 
@@ -594,7 +567,6 @@ def scan_p_sets(
     is no previous band); every other set is conjectured empty, so any
     certified member is a counterexample.
     """
-    budget = budget or _DEFAULT_BUDGET
     table = beta_table(rank_max, budget)
     findings = [
         Finding(
@@ -621,11 +593,10 @@ def scan_p_sets(
                     },
                 )
             )
-    return ScanReport(
+    return _report(
         "band-escape-sets",
         {"rank_max": rank_max, "n_max": n_max},
         findings,
-        _status_of(findings),
     )
 
 
@@ -641,12 +612,11 @@ def scan_tail_collisions(
     enclosures are narrower than ``resolution`` is reported unresolved (a
     collision candidate — the injectivity conjecture would fail there).
     """
-    budget = budget or _DEFAULT_BUDGET
     resolution = Fraction(resolution)
     specs = [ValueSpec(index, 1) for index in enumerate_admissible_up_to(weight_max, include_empty=True)]
 
     def sort_mid(spec: ValueSpec) -> Fraction:
-        return evaluate_spec(spec, Fraction(1, 2**48), budget).midpoint()
+        return evaluate_spec(spec, _FIRST_WIDTH, budget).midpoint()
 
     ordered = sorted(specs, key=lambda s: (-sort_mid(s), s.index))
     findings = [
@@ -685,11 +655,10 @@ def scan_tail_collisions(
             detail=_format_lower(min_separation) if min_separation else "none",
         )
     )
-    return ScanReport(
+    return _report(
         "tail-collisions",
         {"weight_max": weight_max, "resolution": str(resolution)},
         findings,
-        _status_of(findings),
     )
 
 
@@ -721,7 +690,6 @@ def check_phi_conjecture(
     with ``weight(k) + n <= total_max`` — the triangle on which the escape
     phenomenon is certified exhaustively at reasonable cost.
     """
-    budget = budget or _DEFAULT_BUDGET
     findings = []
     b_disagreements = 0
     families = [()] + enumerate_admissible_up_to(weight_max)
@@ -805,9 +773,8 @@ def check_phi_conjecture(
             "not the rank of its tail",
         )
     )
-    return ScanReport(
+    return _report(
         "pairing-conjecture",
         {"weight_max": weight_max, "n_max": n_max, "total_max": total_max},
         findings,
-        _status_of(findings),
     )

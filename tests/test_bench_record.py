@@ -113,7 +113,7 @@ def test_cold_grid_times_t2111_at_1e_20():
 
 def _fake_timers(monkeypatch, calls):
     """Replace both timers by ones that log ``(tree, kind)`` and take a
-    second per character of the tree's name."""
+    second per character of the tree's name; compiling a tree does nothing."""
 
     def timed(tree, kind):
         calls.append((tree.name, kind))
@@ -121,6 +121,7 @@ def _fake_timers(monkeypatch, calls):
 
     monkeypatch.setattr(record, "time_cold", lambda tree, kind, index, arg: timed(tree, kind))
     monkeypatch.setattr(record, "time_tv", lambda tree, kind, hit=0: timed(tree, kind))
+    monkeypatch.setattr(record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(record, "COLD_GRID", (("prefix_expansion", 8), ("tv_eval", 0)))
     monkeypatch.setattr(record, "REPEAT", 3)
 
@@ -135,6 +136,25 @@ def test_cold_rows_time_each_row_on_every_tree_in_turn(tmp_path, monkeypatch):
     assert [row["median_s"] for row in rows_a] == [1.0, 1.0]
     assert [row["runs_s"] for row in rows_b] == [[2.0] * 3] * 2
     assert rows_b[1]["name"].startswith("tv eval") and rows_b[1]["stamp"]["tvals"] == "bb"
+
+
+def test_cold_rows_compile_each_tree_before_timing_it(tmp_path, monkeypatch):
+    calls = []
+    _fake_timers(monkeypatch, calls)
+    monkeypatch.setattr(record, "compile_tree", lambda tree: calls.append((tree.name, "compile")))
+    record.cold_rows([tmp_path / "a", tmp_path / "bb"])
+    assert calls.count(("a", "compile")) == calls.count(("bb", "compile")) == 1
+    for tree in ("a", "bb"):
+        timed = [i for i, (name, kind) in enumerate(calls) if name == tree and kind != "compile"]
+        assert calls.index((tree, "compile")) < timed[0]
+
+
+def test_compile_tree_writes_bytecode_for_the_sources(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("VALUE = 1\n")
+    record.compile_tree(tmp_path)
+    assert list((package / "__pycache__").glob("__init__.*.pyc"))
 
 
 def test_main_labels_each_tree_with_its_own_runs(tmp_path, monkeypatch):

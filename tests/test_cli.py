@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from tvals import cli, order, verify
 from tvals.cli import main
+from tvals.enclosure import Enclosure
+from tvals.errors import BudgetExceededError, UnresolvedComparisonError
 from tvals.evaluator import evaluate_spec
 from tvals.indices import ValueSpec, parse_index
 from tvals.numerics import const_pi
@@ -139,6 +142,43 @@ def test_higher_precision_request_refines_cache(cache_path, capsys):
     # successive cached enclosures stay nested
     assert Fraction(fine["lo"]) >= Fraction(coarse["lo"])
     assert Fraction(fine["hi"]) <= Fraction(coarse["hi"])
+
+
+def test_exact_record_hits_at_any_digit_count(cache_path, capsys):
+    # t()_2 = 1 is stored exactly at 64 bits; a hit is decided by width alone
+    argv = ("eval", "--index", "empty", "--tail", "2", "--digits", "30")
+    code, first, _ = run(capsys, *argv)
+    assert code == OK and "(cached" not in first
+    code, second, _ = run(capsys, *argv)
+    assert code == OK and "(cached" in second
+    assert second.startswith(first.rstrip("\n"))
+    assert len(cache_path.read_text().splitlines()) == 1
+
+
+def test_cache_miss_prints_and_stores_the_fresh_enclosure(cache_path, capsys):
+    # a record that passes the 2^-54 check, is too wide to answer 20 digits
+    # and overlaps the lower end of the fresh enclosure must not narrow it
+    digits, spec = 20, ValueSpec((2,), 0)
+    fresh = evaluate_spec(spec, Fraction(1, 10 ** (digits + 2)))
+    lo = fresh.lo_fraction - Fraction(1, 10**6)
+    hi = fresh.lo_fraction + fresh.width() / 2
+    planted = Enclosure.from_fraction_pair(lo, hi, 200)
+    assert planted.overlaps(evaluate_spec(spec, Fraction(1, 2**54)))
+    forged = {
+        "index": [2],
+        "tail_offset": 0,
+        "precision_bits": 200,
+        "lo": f"{Decimal(lo.numerator) / Decimal(lo.denominator):.40f}",
+        "hi": f"{Decimal(hi.numerator) / Decimal(hi.denominator):.40f}",
+        "method": "accelerated",
+        "created_at": "2020-01-01T00:00:00+00:00",
+    }
+    cache_path.write_text(json.dumps(forged) + "\n")
+    code, out, err = run(capsys, "eval", "--index", "2", "--digits", str(digits))
+    assert code == OK and "(cached" not in out and "skipping" not in err
+    assert out == "2  in  [{}, {}]\n".format(*fresh.decimal_strings(digits))
+    stored = json.loads(cache_path.read_text().splitlines()[1])
+    assert (stored["lo"], stored["hi"]) == fresh.decimal_strings(digits + 6)
 
 
 def test_corrupt_cache_lines_are_skipped(cache_path, capsys):
@@ -435,6 +475,42 @@ def test_scan_pairing_writes_report(tmp_path, capsys):
     assert payload["scan_id"] == "pairing-conjecture"
     assert payload["status"] == "Counterexample"
     assert any(f["verdict"] == "fail" for f in payload["findings"])
+
+
+# --- exit codes -------------------------------------------------------------
+
+# each subcommand and the library call it makes first
+LIBRARY_CALLS = {
+    ("eval", "--index", "2", "--no-cache"): (cli, "evaluate_spec"),
+    ("compare", "--a", "2", "--b", "3"): (order, "compare"),
+    ("beta",): (order, "beta_table"),
+    ("phi", "--index", "2,3"): (order, "phi"),
+    ("chain",): (verify, "verify_chain"),
+    ("verify", "--suite", "limits"): (verify, "verify_limits"),
+    ("scan", "--kind", "p-sets"): (verify, "scan_p_sets"),
+}
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (BudgetExceededError("budget ran out"), UNRESOLVED),
+        (UnresolvedComparisonError("cannot separate"), UNRESOLVED),
+        (ValueError("bad input"), INVALID),
+        (OSError("unreadable"), INVALID),
+    ],
+    ids=["budget", "unresolved", "value", "os"],
+)
+@pytest.mark.parametrize("argv", list(LIBRARY_CALLS), ids=lambda argv: argv[0])
+def test_library_errors_exit_with_one_error_line(argv, error, expected, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(*LIBRARY_CALLS[argv], failing)
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

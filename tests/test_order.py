@@ -288,7 +288,7 @@ def test_tail_list_matches_beta_table(monkeypatch):
     monkeypatch.setattr(order, "_TAIL_LISTS", {})
     budget = PrecisionBudget()
     order._tails_down_to(Fraction(1, 20), budget)
-    table = beta_table.__wrapped__(24, budget)  # extends this fresh list
+    table = beta_table(24, budget)  # extends this fresh list
     floor, specs = order._TAIL_LISTS[budget]
     assert [spec.index for spec in specs[:24]] == [entry.index for entry in table]
     assert [entry.index for entry in table[:5]] == list(BETA_INDICES.values())
@@ -307,7 +307,7 @@ def test_no_budget_means_the_default_budget(monkeypatch):
     assert enumerate_tails_above.__wrapped__(threshold, None) == ((),)
     assert enumerate_tails_above.__wrapped__(threshold) == ((),)
     monkeypatch.setattr(order, "_TAIL_LISTS", {})
-    assert beta_table.__wrapped__(3, None) == beta_table.__wrapped__(3, PrecisionBudget())
+    assert beta_table(3, None) == beta_table(3, PrecisionBudget())
     assert list(order._TAIL_LISTS) == [PrecisionBudget()]
 
 
