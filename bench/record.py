@@ -13,12 +13,12 @@ pair and belong to it::
 Rows, each for one source tree (its ``src/`` is put on the path):
 
 * ``cold``: the fixed grid below (the evaluator layers, the order
-  queries ``phi`` and ``beta_table``, and a mid-size pairing scan), each
-  timed in a fresh Python process (every ``lru_cache`` empty), ``REPEAT``
-  times, with ``mpmath`` blocked so that a tree which still needs it fails
-  here; and the wall time of a whole ``python -m tvals.cli`` process, from
-  spawn to exit: ``tv eval`` on a cache miss and on a cache hit, and
-  ``tv phi``.  Each tree's ``src/`` is compiled (``python -m compileall``)
+  queries ``phi`` and ``beta_table``, and the pairing scans up to weight 7
+  and 9), each timed in a fresh Python process (every ``lru_cache`` empty),
+  ``REPEAT`` times, with ``mpmath`` blocked so that a tree which still
+  needs it fails here; and the wall time of a whole ``python -m tvals.cli``
+  process, from spawn to exit: ``tv eval`` on a cache miss and on a cache
+  hit, and ``tv phi``.  Each tree's ``src/`` is compiled (``python -m compileall``)
   before the first row, so that stale bytecode is not timed as the tree's
   own cost.  Each row is timed on every tree before the next row starts,
   the trees alternating (in reverse order on every other repeat), so that
@@ -61,6 +61,7 @@ COLD_GRID = (
     ("phi", 0),
     ("beta_table", 12),
     ("check_phi_conjecture", 8),
+    ("check_phi_conjecture", 10),
     ("tv_eval", 0),
     ("tv_eval", 1),
     ("tv_phi", 0),

@@ -21,7 +21,9 @@ skipped with a warning, like a corrupt line.  That check is the cache's
 trust boundary: a record that is wrong only below ``2**-54`` is printed as
 certified.  The narrowest usable record answers ``tv eval`` when its width
 alone is at most ``10**-digits``; otherwise the value is computed afresh,
-and that fresh enclosure is printed and appended.  Appends take an advisory
+and the narrower of the fresh enclosure and that record is printed.  The
+fresh one is appended only when its record is narrower than every usable
+one, so a budget-capped rerun appends nothing.  Appends take an advisory
 file lock, so concurrent writers interleave whole records.
 The path comes from ``--cache``, the ``TV_CACHE`` environment variable, or
 ``~/.cache/tv/enclosures.jsonl`` in that order.
@@ -252,13 +254,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"and cannot certify {spec} ({str(exc).partition(';')[0]}); "
             "use the default method instead"
         ) from None
-    if cache_path is not None:
+    source = ""
+    if cached is not None and cached[1].width() < enclosure.width():
+        # a capped or direct answer wider than the checked record: print the
+        # record and store nothing
+        enclosure, source = cached[1], f"  (cached, {cached[0].method})"
+    elif cache_path is not None:
         record = CacheRecord.from_enclosure(spec, enclosure, args.method, digits + 6)
-        cache_store(cache_path, record)
+        # a lookup picks the narrowest record, so a wider or equal one is dead
+        if cached is None or record.to_enclosure().width() < cached[1].width():
+            cache_store(cache_path, record)
     if shortfall is None and enclosure.width() > Fraction(1, 10**digits):
         shortfall = f"direct summation to {_DIRECT_MAX_OUTER:,} outer terms"
     lo, hi = enclosure.decimal_strings(digits)
-    print(f"{spec}  in  [{lo}, {hi}]")
+    print(f"{spec}  in  [{lo}, {hi}]{source}")
     if shortfall is None:
         return EXIT_OK
     print(

@@ -24,7 +24,6 @@ __all__ = [
     "parse_value_spec",
     "enumerate_admissible",
     "enumerate_admissible_up_to",
-    "depth_graded_key",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -249,7 +248,3 @@ def enumerate_admissible_up_to(max_weight: int, include_empty: bool = False) -> 
         result.extend(enumerate_admissible(w))
     return result
 
-
-def depth_graded_key(index: MultiIndex) -> tuple[int, MultiIndex]:
-    """Sort key: depth first, then lexicographic."""
-    return (len(index), index)

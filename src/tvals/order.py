@@ -7,11 +7,8 @@ its entries cut the full values into bands.  This module provides:
 * :func:`compare` — adaptive certified comparison of two named values.
   Equality is never certified: indistinguishable inputs yield
   ``Verdict.UNRESOLVED``.
-* :func:`enumerate_tails_above` — complete branch-and-bound enumeration of
-  all tails above a threshold.  Depth is cut off by comparing the threshold
-  with the certified remaining mass of the per-depth maxima, whose total is
-  known in closed form via Catalan's constant; exponent growth is cut off by
-  componentwise monotonicity.
+* :func:`enumerate_tails_above` — all tails above a threshold, in
+  certified decreasing order.
 * :func:`beta_table` — the first ``count`` tails in decreasing order.
 * :func:`rank_of_tail` — position of one tail in that order.
 * :func:`band_prefix` — all full values in a band down to a cutoff, in
@@ -21,26 +18,30 @@ its entries cut the full values into bands.  This module provides:
 
 Each order fact is certified once per budget.  One list holds the tails,
 and one per band its members, in certified decreasing order, each complete
-above the lowest threshold walked so far.  :func:`beta_table` reads the
-head of the tail list, and ranks and bands count the tails above a value
-by bisecting into it; :func:`band_prefix` and :func:`phi` read the head of
-a band's list.  Enclosures are memoised by (spec, width, budget).  All
-these stores live for the whole process.
+above the lowest threshold walked so far.  A walk is a complete
+branch-and-bound: depth is cut off by comparing the threshold with the
+certified remaining mass of the per-depth maxima, whose total is known in
+closed form via Catalan's constant, and exponent growth by componentwise
+monotonicity.  A band walk cuts a family whose limit, a tail, is listed
+above the band, with no decision.  :func:`enumerate_tails_above` and
+:func:`beta_table` read the head of the tail list, and ranks and bands
+count the tails above a value by bisecting into it; :func:`band_prefix`
+reads the head of a band's list, and :func:`phi` a position in it.
+Enclosures are memoised by (spec, width, budget).  All these stores live
+for the whole process.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .enclosure import Enclosure, _format_sci
 from .errors import BudgetExceededError, UnresolvedComparisonError
 from .evaluator import evaluate_spec
-from .indices import MultiIndex, ValueSpec, _Frozen, depth_graded_key, is_admissible
+from .indices import MultiIndex, ValueSpec, _Frozen, is_admissible
 from .numerics import PrecisionBudget, const_catalan
 
 __all__ = [
@@ -223,7 +224,6 @@ def _mass_total(offset: int) -> Enclosure:
     return (two_g - Enclosure.exact_int(1)).scale_pow2(-1)
 
 
-@lru_cache(maxsize=4096)
 def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int:
     """Smallest ``D`` such that every index of depth beyond ``D`` has value
     certifiably below ``threshold``, via the remaining per-depth mass.
@@ -280,48 +280,15 @@ def _prefixes_above(
         exponent += 1
 
 
-@lru_cache(maxsize=None)
-def enumerate_tails_above(
-    threshold: Fraction, budget: Optional[PrecisionBudget] = None
-) -> tuple[MultiIndex, ...]:
-    """All indices (including the empty one) whose tail at offset 1 exceeds
-    ``threshold``, deterministically ordered by decreasing value.
-
-    Complete by construction: depths beyond a certified cap are excluded by
-    the remaining-mass argument, exponent growth by componentwise
-    monotonicity (every increment divides a tail by at least 3 since all
-    variables are at least 2).  Raises
-    :class:`~tvals.errors.UnresolvedComparisonError` when the threshold
-    cannot be separated from some tail value.
-    """
-    budget = budget or _DEFAULT_BUDGET
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive (the tail set is infinite)")
-    if threshold >= 1:
-        return ()
-    found: list[MultiIndex] = [()]
-    for d in range(1, _depth_cap(threshold, 1, budget) + 1):
-        found.extend(_prefixes_above(d, d, 1, threshold, budget))
-
-    def sort_key(index: MultiIndex):
-        mid = _enclose(ValueSpec(index, 1), _FIRST_WIDTH, budget).midpoint()
-        return (-mid, depth_graded_key(index))
-
-    return tuple(sorted(found, key=sort_key))
-
-
-def _bisect(ordered: list[ValueSpec], spec: ValueSpec, budget: PrecisionBudget) -> int:
-    """Number of entries of ``ordered`` (certified decreasing, not holding
-    ``spec``) that lie above ``spec``, by certified bisection."""
-    lo, hi = 0, len(ordered)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _decide(spec, ordered[mid], budget) is Verdict.GREATER:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _count_above(
+    ordered: list[ValueSpec], value: Union[ValueSpec, Fraction], budget: PrecisionBudget
+) -> int:
+    """Number of entries of ``ordered`` (certified decreasing) that lie above
+    ``value``, a named value not in ``ordered`` or an exact rational, by
+    certified bisection."""
+    return bisect_left(
+        ordered, True, key=lambda entry: _decide(entry, value, budget) is Verdict.LESS
+    )
 
 
 # A certified list is a floor and specs in certified decreasing order: every
@@ -347,16 +314,47 @@ def _listed_down_to(
         listed = set(specs)
         for spec in walk(threshold):
             if spec not in listed:
-                specs.insert(_bisect(specs, spec, budget), spec)
+                specs.insert(_count_above(specs, spec, budget), spec)
         store[key] = (threshold, specs)
     return specs
 
 
 def _tails_down_to(threshold: Fraction, budget: PrecisionBudget) -> list[ValueSpec]:
-    """The certified tail list of ``budget``, complete above ``threshold``."""
-    return _listed_down_to(_TAIL_LISTS, budget, threshold, budget, lambda low: (
-        ValueSpec(index, 1) for index in enumerate_tails_above(low, budget)
-    ))
+    """The certified tail list of ``budget``, complete above ``threshold``.
+
+    The walk is complete by construction: depths beyond a certified cap are
+    excluded by the remaining-mass argument, exponent growth by componentwise
+    monotonicity (every increment divides a tail by at least 3 since all
+    variables are at least 2)."""
+
+    def walk(low: Fraction) -> Iterator[ValueSpec]:
+        if low < 1:
+            yield ValueSpec((), 1)  # the empty tail is exactly 1
+        for d in range(1, _depth_cap(low, 1, budget) + 1):
+            for index in _prefixes_above(d, d, 1, low, budget):
+                yield ValueSpec(index, 1)
+
+    return _listed_down_to(_TAIL_LISTS, budget, threshold, budget, walk)
+
+
+def enumerate_tails_above(
+    threshold: Fraction, budget: Optional[PrecisionBudget] = None
+) -> tuple[MultiIndex, ...]:
+    """All indices (including the empty one) whose tail at offset 1 exceeds
+    ``threshold``, in certified decreasing order of the tails.
+
+    Reads the head of the certified tail list, walked down to ``threshold``
+    when needed.  Raises :class:`~tvals.errors.UnresolvedComparisonError`
+    when the threshold cannot be separated from some tail value.
+    """
+    budget = budget or _DEFAULT_BUDGET
+    threshold = Fraction(threshold)
+    if threshold <= 0:
+        raise ValueError("threshold must be positive (the tail set is infinite)")
+    if threshold >= 1:
+        return ()
+    tails = _tails_down_to(threshold, budget)
+    return tuple(spec.index for spec in tails[: _count_above(tails, threshold, budget)])
 
 
 def _tails_through(count: int, budget: PrecisionBudget) -> list[ValueSpec]:
@@ -364,27 +362,18 @@ def _tails_through(count: int, budget: PrecisionBudget) -> list[ValueSpec]:
 
     Extends the tail list by lowering its threshold by factors of two until
     it holds enough tails; a threshold that lands unresolvably close to some
-    tail twice in a row is nudged by a small seeded dyadic perturbation.
+    tail is lowered by one step of the quantized grid instead.
     """
-    rng = None  # seeded on the first nudge, so every call nudges alike
     threshold = Fraction(1, 2)
-    strikes = 0
     while True:
         try:
             ordered = _tails_down_to(threshold, budget)
         except UnresolvedComparisonError:
-            strikes += 1
-            if strikes >= 2:
-                rng = rng or random.Random(0x5EED)
-                jitter = Fraction(rng.getrandbits(16) + 1, 2**24)
-                threshold = threshold * (1 - jitter)
-            else:
-                threshold = threshold / 2
-            continue
-        strikes = 0
-        if len(ordered) >= count:
-            return ordered
-        threshold = threshold / 2
+            threshold = _quantize_down(threshold * (1 - Fraction(1, 2**10)))
+        else:
+            if len(ordered) >= count:
+                return ordered
+            threshold = threshold / 2
         if threshold < Fraction(1, 2**200):
             raise BudgetExceededError(
                 f"could not find {count} tails above 2**-200"
@@ -421,7 +410,7 @@ def _tails_above(spec: ValueSpec, budget: PrecisionBudget) -> int:
     tails = _tails_down_to(threshold, budget)
     if spec.tail_offset == 1:
         return tails.index(spec)
-    return _bisect(tails, spec, budget)
+    return _count_above(tails, spec, budget)
 
 
 def rank_of_tail(
@@ -440,6 +429,38 @@ def rank_of_tail(
     return _tails_above(ValueSpec(index, 1), budget) + 1
 
 
+def _band_down_to(
+    band: int, tails: list[ValueSpec], alpha: Fraction, budget: PrecisionBudget
+) -> list[ValueSpec]:
+    """The certified list of band ``band``, complete above ``alpha``;
+    ``tails`` is the certified tail list, holding at least ``band`` tails.
+
+    Families sharing all but the final exponent decrease toward the tail of
+    their shared prefix.  The tail list is complete above a floor below the
+    band top, so a limit at or above the top is one of the first ``band - 1``
+    tails, and the walk cuts its family with no decision.  In every other
+    family, members are decided against the top until one lies below it."""
+    above_band = set(tails[: band - 1])
+    top_spec = tails[band - 2] if band > 1 else None
+
+    def walk(threshold: Fraction) -> Iterator[ValueSpec]:
+        # depth-1 values exceed 1 and live in band 1
+        for d in range(1 if band == 1 else 2, _depth_cap(threshold, 0, budget) + 1):
+            for partial in _prefixes_above(d, d - 1, 0, threshold, budget):
+                if ValueSpec(partial, 1) in above_band:
+                    continue  # the whole family sits above the band
+                below_top = top_spec is None
+                for candidate in _prefixes_above(d, d, 0, threshold, budget, partial):
+                    spec = ValueSpec(candidate, 0)
+                    # values decrease along the family, so once one drops
+                    # below the band top the rest need no further comparison
+                    below_top = below_top or _decide(spec, top_spec, budget) is Verdict.LESS
+                    if below_top:
+                        yield spec
+
+    return _listed_down_to(_BAND_LISTS, (band, budget), alpha, budget, walk)
+
+
 def band_prefix(
     band: int,
     alpha: Union[Fraction, Enclosure],
@@ -453,11 +474,8 @@ def band_prefix(
     answer finite; values are returned with their enclosures, largest first.
 
     Reads the head of the band's certified list, walked down to ``alpha``
-    when needed.  Families sharing all but the final exponent decrease toward
-    the tail of their shared prefix, so the walk cuts a family when that
-    limit certifiably leaves the band from above; any value that cannot be
-    separated from the band boundaries or from a sibling raises
-    :class:`~tvals.errors.UnresolvedComparisonError`.
+    when needed.  Any value that cannot be separated from the band top or
+    from a sibling raises :class:`~tvals.errors.UnresolvedComparisonError`.
     """
     budget = budget or _DEFAULT_BUDGET
     if band < 1:
@@ -472,37 +490,10 @@ def band_prefix(
             f"alpha={_format_sci(alpha_lo)} is not certifiably above the "
             f"band-{band} floor (tail of {floor_spec.index})"
         )
-    top_spec = None if band == 1 else tails[band - 2]
-
-    def walk(threshold: Fraction) -> Iterator[ValueSpec]:
-        # depth-1 values exceed 1 and live in band 1
-        for d in range(1 if band == 1 else 2, _depth_cap(threshold, 0, budget) + 1):
-            for partial in _prefixes_above(d, d - 1, 0, threshold, budget):
-                limit_spec = ValueSpec(partial, 1)  # exact value 1 at depth 1
-                below_top = top_spec is None
-                if not below_top and (
-                    limit_spec == top_spec
-                    or _decide(limit_spec, top_spec, budget) is Verdict.GREATER
-                ):
-                    continue  # the whole family sits above the band
-                for candidate in _prefixes_above(d, d, 0, threshold, budget, partial):
-                    if not below_top:
-                        # values decrease along the family, so once one drops
-                        # below the band top the rest need no further comparison
-                        below_top = (
-                            _decide(ValueSpec(candidate, 0), top_spec, budget)
-                            is Verdict.LESS
-                        )
-                    if below_top:
-                        yield ValueSpec(candidate, 0)
-
-    members = _listed_down_to(_BAND_LISTS, (band, budget), alpha_lo, budget, walk)
-    # certified bisection: the members above alpha come first
-    above = bisect_left(
-        members, True, key=lambda spec: _decide(spec, alpha_lo, budget) is Verdict.LESS
-    )
+    members = _band_down_to(band, tails, alpha_lo, budget)
     return [
-        (spec.index, _enclose(spec, _FIRST_WIDTH, budget)) for spec in members[:above]
+        (spec.index, _enclose(spec, _FIRST_WIDTH, budget))
+        for spec in members[: _count_above(members, alpha_lo, budget)]
     ]
 
 
@@ -537,17 +528,17 @@ def phi(
         raise ValueError(f"index {index} is not admissible")
     spec = ValueSpec(index, 0)
     band = band_of_value(index, budget)
-    floor_spec = _tails_through(band, budget)[band - 1]
+    tails = _tails_through(band, budget)
     for width in _refinement_widths(budget):
         enclosure = _enclose(spec, width, budget)
         alpha = enclosure.lo_fraction - enclosure.width()
-        if alpha > 0 and _scalar_verdict(floor_spec, alpha, budget) is Verdict.LESS:
+        if alpha > 0 and _scalar_verdict(tails[band - 1], alpha, budget) is Verdict.LESS:
             break
     else:
         raise BudgetExceededError(f"could not separate {spec} from the band-{band} floor")
-    members = [member for member, _ in band_prefix(band, alpha, budget)]
-    if index not in members:
+    members = _band_down_to(band, tails, alpha, budget)
+    if spec not in members:
         raise BudgetExceededError(
             f"could not place within band {band}: {spec} is not listed"
         )
-    return PhiCoord(band, members.index(index) + 1)
+    return PhiCoord(band, members.index(spec) + 1)

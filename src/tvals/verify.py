@@ -209,9 +209,11 @@ def verify_repeated(
     ``n`` copies of a fixed even exponent agrees with the closed form:
     ``2``-repeats give ``pi^(2n)/((2n)! 2^(2n))``, ``4``-repeats give
     ``pi^(4n)/((4n)! 2^(2n))``, ``6``-repeats give ``3 pi^(6n)/((6n)! 4)``.
+    The closed forms are computed at a precision sized from ``n_max`` and
+    the tolerance.
     """
     tolerance = Fraction(tolerance)
-    bits = 160 + 8 * n_max
+    bits = 160 + 8 * n_max + tolerance.denominator.bit_length()
     pi = const_pi(bits)
     findings = []
     for base in (2, 4, 6):
@@ -250,10 +252,11 @@ def verify_sum_formula(
     For each half-weight ``n <= n_max`` and depth ``d <= n``, the sum of
     evaluations over all even indices of weight ``2n`` and depth ``d`` must
     match ``(-1)^(n-d) pi^(2n) / (4^n (2n)!) *
-    sum_l C(n-l, d) C(2n, 2l) E_{2l}`` with exact integer Euler numbers.
+    sum_l C(n-l, d) C(2n, 2l) E_{2l}`` with exact integer Euler numbers,
+    at a precision sized from ``n_max`` and the tolerance.
     """
     tolerance = Fraction(tolerance)
-    bits = 192 + 8 * n_max
+    bits = 192 + 8 * n_max + tolerance.denominator.bit_length()
     pi = const_pi(bits)
     findings = []
     for n in range(1, n_max + 1):

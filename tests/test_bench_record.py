@@ -76,10 +76,13 @@ def test_cold_grid_times_the_direct_oracle():
 
 
 def test_cold_grid_times_the_order_queries():
-    assert {("phi", 0), ("beta_table", 12), ("check_phi_conjecture", 8)} <= set(record.COLD_GRID)
+    assert {
+        ("phi", 0), ("beta_table", 12), ("check_phi_conjecture", 8), ("check_phi_conjecture", 10)
+    } <= set(record.COLD_GRID)
     assert record._name("phi", 0) == "phi((2, 1, 1, 1))"
     assert record._name("beta_table", 12) == "beta_table(12)"
     assert record._name("check_phi_conjecture", 8) == "check_phi_conjecture(7, 7, total_max=8)"
+    assert record._name("check_phi_conjecture", 10) == "check_phi_conjecture(9, 9, total_max=10)"
     for kind, arg in (("phi", 0), ("beta_table", 3), ("check_phi_conjecture", 4)):
         got = record.time_cold(ROOT, kind, (2, 1), arg)
         assert got["seconds"] > 0

@@ -280,6 +280,28 @@ def test_budget_warning_prints_a_width_below_the_float_range(cache_path, capsys)
     assert int(match.group(1)) > 700
 
 
+def test_budget_capped_miss_prints_the_narrower_record_and_stores_nothing(cache_path, capsys):
+    # the default budget leaves a record about 1e-803 wide, and a rerun's
+    # record would be no narrower; a 64-bit budget reaches about 1e-25, so
+    # each capped run answers from the record
+    for _ in range(2):
+        run(capsys, "eval", "--index", "2", "--digits", "1000")
+    seeded = cache_path.read_text()
+    assert len(seeded.splitlines()) == 1
+    record = cli.CacheRecord(**json.loads(seeded)).to_enclosure()
+    assert record.width() < Fraction(1, 10**800)
+    for _ in range(2):
+        code, out, err = run(
+            capsys, "eval", "--index", "2", "--digits", "1000", "--budget-bits", "64"
+        )
+        assert code == UNRESOLVED
+        lo, hi = record.decimal_strings(1000)
+        assert out == f"2  in  [{lo}, {hi}]  (cached, accelerated)\n"
+        match = re.search(r"warning: width \d\.\d{3}e-(\d+) misses the requested 1000 digits", err)
+        assert match is not None and int(match.group(1)) > 700, err
+        assert cache_path.read_text() == seeded
+
+
 def test_eval_digits_beyond_the_int_str_limit(cache_path, capsys):
     # 5000 digits exceed the 4096-bit budget and Python's 4,300-digit
     # int-to-str limit; the second run reads the 5006-digit cache record back

@@ -8,7 +8,6 @@ from tvals.indices import (
     IndexParseError,
     ValueSpec,
     depth,
-    depth_graded_key,
     enumerate_admissible,
     enumerate_admissible_up_to,
     index_str,
@@ -64,7 +63,7 @@ def test_enumeration_count_matches_brute_force(w):
 
 def test_enumeration_is_depth_graded_then_lexicographic():
     enumerated = enumerate_admissible(5)
-    assert enumerated == sorted(enumerated, key=depth_graded_key)
+    assert enumerated == sorted(enumerated, key=lambda k: (len(k), k))
     depths = [depth(k) for k in enumerated]
     assert depths == sorted(depths)
 

@@ -236,6 +236,17 @@ def test_values_below_the_first_width_exceed_the_budget():
 
 # --- the certified tail list ------------------------------------------------
 
+def raw_tails_above(threshold, budget):
+    """The tails above ``threshold`` as a set, from a walk of its own: the
+    empty tail and the branch-and-bound of every depth up to the cap."""
+    found = {ValueSpec((), 1)}
+    for d in range(1, order._depth_cap(threshold, 1, budget) + 1):
+        found.update(
+            ValueSpec(index, 1) for index in order._prefixes_above(d, d, 1, threshold, budget)
+        )
+    return found
+
+
 def reference_tails_above(spec, budget):
     """The linear count: every tail just below the value decided against it."""
     if len(spec.index) == 0:
@@ -243,7 +254,7 @@ def reference_tails_above(spec, budget):
     else:
         enclosure = order._enclose(spec, Fraction(1, 2**48), budget)
     threshold = order._quantize_down(enclosure.lo_fraction * (1 - Fraction(1, 2**10)))
-    tails = [ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)]
+    tails = raw_tails_above(threshold, budget)
     return sum(
         order._decide(tail, spec, budget) is Verdict.GREATER
         for tail in tails
@@ -272,9 +283,7 @@ def test_tail_list_stays_certified_under_falling_thresholds(monkeypatch):
     for threshold in (Fraction(1, 5), Fraction(1, 20), Fraction(1, 300), Fraction(1, 1000)):
         specs = order._tails_down_to(threshold, budget)
         # complete above the threshold, and nothing below it
-        assert set(specs) == {
-            ValueSpec(index, 1) for index in enumerate_tails_above(threshold, budget)
-        }
+        assert set(specs) == raw_tails_above(threshold, budget)
         assert_certified_decreasing(specs)
     # a query above the floor reads the list as it is
     assert order._tails_down_to(Fraction(1, 20), budget) is specs
@@ -292,10 +301,10 @@ def test_tail_list_matches_beta_table(monkeypatch):
     floor, specs = order._TAIL_LISTS[budget]
     assert [spec.index for spec in specs[:24]] == [entry.index for entry in table]
     assert [entry.index for entry in table[:5]] == list(BETA_INDICES.values())
-    # inserting into a shorter list gives the sort of the full enumeration
-    from_scratch = order._listed_down_to({}, budget, floor, budget, lambda low: (
-        ValueSpec(index, 1) for index in enumerate_tails_above(low, budget)
-    ))
+    # inserting into a shorter list gives the sort of a raw walk
+    from_scratch = order._listed_down_to(
+        {}, budget, floor, budget, lambda low: raw_tails_above(low, budget)
+    )
     assert specs == from_scratch
 
 
@@ -304,8 +313,8 @@ def test_no_budget_means_the_default_budget(monkeypatch):
     # so the enumeration climbs the budget's rungs
     tail = order._enclose(ValueSpec((2,), 1), Fraction(1, 2**100), PrecisionBudget())
     threshold = tail.hi_fraction + Fraction(1, 2**70)
-    assert enumerate_tails_above.__wrapped__(threshold, None) == ((),)
-    assert enumerate_tails_above.__wrapped__(threshold) == ((),)
+    assert enumerate_tails_above(threshold, None) == ((),)
+    assert enumerate_tails_above(threshold) == ((),)
     monkeypatch.setattr(order, "_TAIL_LISTS", {})
     assert beta_table(3, None) == beta_table(3, PrecisionBudget())
     assert list(order._TAIL_LISTS) == [PrecisionBudget()]
@@ -407,3 +416,47 @@ def test_unresolved_band_walk_leaves_the_list_as_it_was(monkeypatch):
     assert [spec.index for spec in before[1]] == [(2, 1), (2, 2), (2, 3)]
     monkeypatch.setattr(order, "_decide", true_decide)
     assert [index for index, _ in band_prefix(2, alphas[7])] == [(2, n) for n in range(1, 9)]
+
+
+def test_band_walks_decide_no_tail_against_a_tail(monkeypatch):
+    # a family whose limit is listed above the band is cut by that listing
+    beta_table(12)
+    alphas = {band: _band_alphas(band)[3] for band in range(2, 9)}
+    monkeypatch.setattr(order, "_BAND_LISTS", {})
+    true_decide = order._decide
+    decided = []
+
+    def decide(left, right, budget):
+        decided.append((left, right))
+        return true_decide(left, right, budget)
+
+    monkeypatch.setattr(order, "_decide", decide)
+    for band, alpha in alphas.items():
+        assert band_prefix(band, alpha), band
+    assert decided
+    assert [
+        (left, right)
+        for left, right in decided
+        if isinstance(right, ValueSpec) and left.tail_offset == right.tail_offset == 1
+    ] == []
+
+
+def test_unresolved_tail_threshold_steps_down_the_grid(monkeypatch):
+    monkeypatch.setattr(order, "_TAIL_LISTS", {})
+    true_decide = order._decide
+    planted = []
+
+    def decide(left, right, budget):
+        if right == Fraction(1, 2) and not planted:
+            planted.append(left)
+            raise UnresolvedComparisonError("planted", left=left, right=right)
+        return true_decide(left, right, budget)
+
+    monkeypatch.setattr(order, "_decide", decide)
+    table = beta_table(5)
+    assert planted
+    assert [entry.index for entry in table] == list(BETA_INDICES.values())
+    # one grid step below 1/2, then halvings from there
+    floor, specs = order._TAIL_LISTS[PrecisionBudget()]
+    assert floor == Fraction(63, 128) / 2**4
+    assert_certified_decreasing(specs)

@@ -43,6 +43,13 @@ def test_sum_formula_identity_holds():
     assert all(f.verdict == "pass" for f in report.findings)
 
 
+def test_closed_form_scans_honour_a_tolerance_below_1e_55():
+    # the references are sized from the tolerance too, not from n_max alone
+    tolerance = Fraction(1, 10**100)
+    for report in (verify_repeated(3, tolerance), verify_sum_formula(4, tolerance)):
+        assert report.status is ScanStatus.ALL_PASSED, report.scan_id
+
+
 def test_catalan_partial_sums_and_frozen_gap():
     report = verify_catalan(j_max=12)
     assert report.status is ScanStatus.ALL_PASSED
