@@ -12,9 +12,10 @@ pair and belong to it::
 
 Rows, each for one source tree (its ``src/`` is put on the path):
 
-* ``cold``: the fixed grid below (the evaluator layers, the order
-  queries ``phi`` and ``beta_table``, and the pairing scans up to weight 7
-  and 9), each timed in a fresh Python process (every ``lru_cache`` empty),
+* ``cold``: the fixed grid below (a calibration loop, the evaluator
+  layers, the order queries ``phi`` and ``beta_table``, and the pairing
+  scans up to weight 7 and 9), each timed in a fresh Python process (every
+  ``lru_cache`` empty),
   ``REPEAT`` times, with ``mpmath`` blocked so that a tree which still
   needs it fails here; and the wall time of a whole ``python -m tvals.cli``
   process, from spawn to exit: ``tv eval`` on a cache miss and on a cache
@@ -22,7 +23,10 @@ Rows, each for one source tree (its ``src/`` is put on the path):
   before the first row, so that stale bytecode is not timed as the tree's
   own cost.  Each row is timed on every tree before the next row starts,
   the trees alternating (in reverse order on every other repeat), so that
-  a drift of the host's speed reaches all trees alike;
+  a drift of the host's speed reaches all trees alike.  The calibration
+  row times a fixed pure-Python integer loop that uses no ``tvals`` code,
+  so it reads alike on every tree of one file, and across files it tells
+  a change of host speed from a change of the code;
 * ``perfbench``: the end-to-end medians of each workload, copied from saved
   ``python3 perfbench/run.py ... --trace 0`` output (one run per file, or
   several concatenated); across runs the median, quartiles and seeds;
@@ -50,6 +54,7 @@ import time
 from pathlib import Path
 
 COLD_GRID = (
+    ("calibration", 6),
     ("prefix_expansion", 32),
     ("prefix_expansion", 64),
     ("prefix_expansion", 128),
@@ -67,7 +72,7 @@ COLD_GRID = (
     ("tv_phi", 0),
 )
 INDEX = (2, 1, 1, 1)
-REPEAT = 3
+REPEAT = 5
 END_TO_END = ("setup_s", "throughput_rps", "latency_p50_s", "latency_tail_s", "peak_rss_mb")
 
 # the fresh ``tv`` process rows, by kind: argument 0 runs the command on an
@@ -77,8 +82,10 @@ TV_COMMANDS = {
     "tv_phi": ("phi", "--index", ",".join(map(str, INDEX))),
 }
 
-# runs in the child: ``kind`` is prefix_expansion (argument: the order),
-# evaluate_spec (argument: the exponent e of the target width 10**-e),
+# runs in the child: ``kind`` is calibration (argument: the exponent e of
+# 10**e steps of an integer loop, the index unused), prefix_expansion
+# (argument: the order), evaluate_spec (argument: the exponent e of the
+# target width 10**-e),
 # evaluate_direct_many (argument: the exponent e of max_outer 10**e, at
 # offsets 0 and 1), phi (argument unused), beta_table (argument: the count,
 # the index unused) or check_phi_conjecture (argument: total_max t, with
@@ -94,7 +101,11 @@ from tvals.order import beta_table, phi
 from tvals.verify import check_phi_conjecture
 kind, index, arg = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3])
 start = time.perf_counter()
-if kind == "prefix_expansion":
+if kind == "calibration":
+    x = 1
+    for _ in range(10**arg):
+        x = (x * 1103515245 + 12345) % 2147483648
+elif kind == "prefix_expansion":
     prefix_expansion(index, arg)
 elif kind == "evaluate_direct_many":
     evaluate_direct_many(index, (0, 1), 10**arg)
@@ -141,6 +152,8 @@ def time_tv(tree: Path, kind: str, hit: int = 0) -> dict:
 
 
 def _name(kind: str, arg: int) -> str:
+    if kind == "calibration":
+        return f"calibration (10**{arg} steps of a pure-Python integer loop)"
     if kind == "prefix_expansion":
         return f"prefix_expansion({INDEX}, {arg})"
     if kind == "evaluate_direct_many":

@@ -4,10 +4,14 @@ Two independent evaluators are provided:
 
 * :func:`evaluate` — the production path.  For each prefix of the index it
   builds an exact rational asymptotic expansion of the tail function in
-  ``w = 1/(2n+1)``, seeds all prefixes at a large offset where the expansion
-  remainder is provably small, and walks the exact tail recurrence
+  ``w = 1/(2n+1)``, held as integers over one reduced denominator (a
+  *view*).  It seeds all prefixes at a large offset where the expansion
+  remainder is provably small, each seed the floor or ceiling of the
+  view's sum minus or plus its remainder at scale ``2**wp``, and walks the
+  exact tail recurrence
   ``t(k)_n = t(k)_{n+1} + (2n+1)^(-k_d) * t(k_1..k_{d-1})_{n+1}`` downward in
-  scaled-integer fixed point, flooring lower and ceiling upper endpoints.
+  that scaled-integer fixed point, flooring lower and ceiling upper
+  endpoints.  From expansion to recurrence no ``Fraction`` is built.
   A planner prices each expansion order from an estimate of its remainder
   bound, weighing the recurrence steps against the cost of building the
   expansions, and builds only the order it picks.  The first plan aims at
@@ -27,7 +31,7 @@ remainder for a completely monotone summand is enveloped by the first
 omitted term; ``sum_{m>n} (2m-1)**(-i) <= (3/2) * (2n+1)**(1-i)`` for
 ``i >= 2, n >= 1``; and the partial-fraction split of
 ``(2j-1)**(-s) (2j+1)**(-q)`` telescopes exactly at the pole pair of order
-one.  Everything else is exact rational bookkeeping.
+one.  Everything else is exact integer bookkeeping.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .indices import MultiIndex, ValueSpec, _Frozen
 from .numerics import (
     _GUARD_BITS,
     PrecisionBudget,
+    _View,
     base_expansion,
     evaluate_expansion,
 )
@@ -118,9 +123,9 @@ def _partial_fraction(
 
 
 @lru_cache(maxsize=None)
-def _base_view(k: int, order: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """``base_expansion(k, order)`` as integers over one denominator:
-    ``(scale, ((power, scale * coefficient), ...), scale * bound)``."""
+def _base_view(k: int, order: int) -> _View:
+    """``base_expansion(k, order)`` as a view.  The lcm of reduced
+    denominators leaves no common factor, so the view is reduced."""
     coeffs, bound = base_expansion(k, order)
     scale = math.lcm(bound.denominator, *(v.denominator for _, v in coeffs))
     return (
@@ -130,12 +135,7 @@ def _base_view(k: int, order: int) -> tuple[int, tuple[tuple[int, int], ...], in
     )
 
 
-def _step_expansion(
-    coeffs: tuple[tuple[int, Fraction], ...],
-    bound: Fraction,
-    s: int,
-    order: int,
-) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
+def _step_expansion(view: _View, s: int, order: int) -> _View:
     """Expansion of ``n -> sum_{j>n} (2j-1)**(-s) f(j)`` given one for ``f``.
 
     Valid for every ``n >= 1``.  Uses the partial-fraction split per power,
@@ -145,13 +145,13 @@ def _step_expansion(
     The map is linear in the input coefficients, so the ``T_i`` terms are
     gathered per pole order ``i`` (``weight[i]`` for the coefficients,
     ``mass[i]`` for the bound) and each ``base_expansion(i)`` is added once,
-    which keeps the exact work at O(order**2).  That work runs on integer
-    numerators: the input over the lcm ``den`` of its denominators, the
-    dyadic split over ``2**(s+top-1)``, each base expansion over its own
-    denominator (``_base_view``) and their sum over the lcm of those.  Only
-    the output coefficients and the bound become ``Fraction``s.
+    which keeps the exact work at O(order**2).  All of it runs on integers:
+    the input view over its ``den``, the dyadic split over
+    ``2**(s+top-1)``, each base expansion over its own denominator
+    (``_base_view``) and their sum over the lcm of those.  The output is a
+    view again, reduced by one gcd, so no level builds a ``Fraction``.
     """
-    den = math.lcm(*(d.denominator for _, d in coeffs))
+    den, coeffs, bound = view
     top = max((q for q, _ in coeffs), default=1)
     cut = order + 1
     # beyond the order, T_i(n) <= (3/2) w**(i-1) <= (3/2) 3**(cut-(i-1)) w**cut;
@@ -165,7 +165,7 @@ def _step_expansion(
     for q, d in coeffs:
         if not d:
             continue
-        num = d.numerator * (den // d.denominator) << (top - q)
+        num = d << (top - q)
         a1, gammas, poles = _partial_fraction(s, q)
         new[1] = new.get(1, 0) + num * a1
         for i, g in gammas:
@@ -189,32 +189,35 @@ def _step_expansion(
         for p, b in base_nums:
             acc[p] = acc.get(p, 0) + e * b
         spread += mass[i] * lift * base_bound
-    total = (den << (s + top - 1)) * lcm
-    cleaned = tuple((p, Fraction(v, total)) for p, v in sorted(acc.items()) if v)
-    # the summand's own remainder, summed over j > n, plus the pole masses
-    new_bound = bound * Fraction(3, 2 * 3 ** (s - 1)) + Fraction(
-        2 * 3**reach * spread + 3 * lcm * far, 2 * 3**reach * total
+    # over ``total``: the summand's own remainder summed over j > n, the
+    # input bound times 3 / (2 * 3**(s-1)), plus the pole masses; the
+    # factor 2 * 3**rise clears the denominators of both
+    rise = max(s - 1, reach)
+    total = (den << (s + top)) * lcm * 3**rise
+    new_bound = (
+        3 ** (rise - s + 2) * lcm * (bound << (s + top - 1))
+        + 2 * 3**rise * spread
+        + 3 ** (rise - reach + 1) * lcm * far
     )
-    return cleaned, new_bound
+    nums = [(p, v * 2 * 3**rise) for p, v in sorted(acc.items()) if v]
+    g = math.gcd(total, new_bound, *(v for _, v in nums))
+    return total // g, tuple((p, v // g) for p, v in nums), new_bound // g
 
 
 @lru_cache(maxsize=None)
-def prefix_expansion(
-    prefix: MultiIndex, order: int
-) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
-    """Exact expansion of ``n -> t(prefix)_n`` in ``w = 1/(2n+1)``.
-
-    Returns ``(coefficients, bound)``: the truncation error is within
-    ``bound * w**(order+1)`` for every ``n >= 1``.
+def prefix_expansion(prefix: MultiIndex, order: int) -> _View:
+    """Exact expansion of ``n -> t(prefix)_n`` in ``w = 1/(2n+1)``, as a
+    reduced view ``(den, ((power, num), ...), bound)``: the coefficients
+    are ``num/den`` and the truncation error is within
+    ``(bound/den) * w**(order+1)`` for every ``n >= 1``.
     """
     if len(prefix) == 0:
         raise ValueError("the empty prefix is the constant 1; no expansion")
     if prefix[0] < 2:
         raise DivergentError(f"inadmissible prefix {prefix}")
     if len(prefix) == 1:
-        return base_expansion(prefix[0], order)
-    inner_coeffs, inner_bound = prefix_expansion(prefix[:-1], order)
-    return _step_expansion(inner_coeffs, inner_bound, prefix[-1], order)
+        return _base_view(prefix[0], order)
+    return _step_expansion(prefix_expansion(prefix[:-1], order), prefix[-1], order)
 
 
 # ----------------------------------------------------------------------
@@ -237,11 +240,13 @@ def _kth_root_ceil(x: int, k: int) -> int:
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_STEPS = 20_000
 # Cost of building the expansions of one order, per order**2, in units of
-# one recurrence step of one prefix (about 1 us at 64 to 512 bits).
-# Measured on CPython 3.11 (2 vCPU) at orders 8-128: building every prefix
-# of a depth-2 to depth-4 index takes 0.5-3.4 units per order**2 once the
-# depth-1 base expansions, which all indices share, are cached, and 9-16
-# units from empty caches.
+# one recurrence step of one prefix (0.17-0.28 us at 64 to 512 bits).
+# Measured on CPython 3.11 (2 vCPU) at orders 8-128 with integer views:
+# building every prefix of a depth-2 to depth-4 index takes 1.1-10.5 units
+# per order**2 once the depth-1 base expansions and the partial-fraction
+# splits, which all indices share, are cached (the top at order 128 and
+# depth 4), and 10-17 units from empty caches; the build that ended in
+# Fractions took 1.5-11 and 10-18 on the same host.
 _BUILD_COST = 4
 
 
@@ -292,9 +297,9 @@ def _plan(index: MultiIndex, offset: int, tau: Fraction) -> tuple[int, int]:
 
     def ratio(order: int) -> int:
         # ceil(headroom * total bound / tau), over one common denominator
-        bounds = [prefix_expansion(index[:i], order)[1] for i in range(1, d + 1)]
-        den = math.lcm(*(b.denominator for b in bounds))
-        num = sum(b.numerator * (den // b.denominator) for b in bounds)
+        views = [prefix_expansion(index[:i], order) for i in range(1, d + 1)]
+        den = math.lcm(*(view[0] for view in views))
+        num = sum(bound * (den // v_den) for v_den, _, bound in views)
         return -(-num * headroom * tau.denominator // (den * tau.numerator))
 
     estimate = ratio(_ORDER_SCHEDULE[0])
@@ -320,7 +325,8 @@ def _evaluate_at(
     """Seed every prefix at ``seed`` and run the exact recurrence down.
 
     The loop runs in scaled-integer fixed point at scale ``2**wp``: each
-    prefix carries an integer lower and upper endpoint.  Every quantity
+    prefix carries an integer lower and upper endpoint, seeded with the
+    floor and ceiling that ``evaluate_expansion`` returns.  Every quantity
     involved is nonnegative (the seeds' lower endpoints are clamped at
     zero, which is sound because the true values are positive sums), so a
     step is one floor division for the lower endpoint and one ceiling
@@ -333,12 +339,9 @@ def _evaluate_at(
     los = [one]
     his = [one]
     for i in range(1, len(index) + 1):
-        coeffs, bound = prefix_expansion(index[:i], order)
-        enclosure = evaluate_expansion(coeffs, bound, order, seed, bits)
-        lo = enclosure.lo_fraction * one
-        hi = enclosure.hi_fraction * one
-        los.append(max(0, lo.numerator // lo.denominator))
-        his.append(-((-hi.numerator) // hi.denominator))
+        lo, hi = evaluate_expansion(prefix_expansion(index[:i], order), order, seed, wp)
+        los.append(max(0, lo))
+        his.append(hi)
     levels = range(len(index), 0, -1)  # deepest first: each reads step j+1
     for j in range(seed - 1, offset - 1, -1):
         odd = 2 * j + 1
@@ -362,7 +365,9 @@ def _evaluate_cached(
             f"index {index} is inadmissible: the outer sum diverges"
         )
     rungs = list(budget.rungs())
-    usable = [b for b in rungs if Fraction(1, 2 ** (b - 10)) <= target_width]
+    # the rungs whose floor 2**-(bits-10) is at most the target width
+    num, den = target_width.numerator, target_width.denominator
+    usable = [b for b in rungs if num << b >= den << 10]
     attempts = usable if usable else [rungs[-1]]
     best: Optional[Enclosure] = None
     for bits in attempts:
@@ -370,7 +375,7 @@ def _evaluate_cached(
         # rounding, about d * steps * 2**-(bits+32), is far below the rung
         # floor, so the rung sets only the fixed-point bits; a retry after a
         # missed width plans for the rung floor
-        floor = Fraction(1, 2 ** (bits - 10))
+        floor = Fraction(1 << 10, 1 << bits)
         tau = target_width if best is None else min(target_width, floor)
         order, seed = _plan(index, offset, tau)
         enclosure = _evaluate_at(index, offset, bits, order, seed)

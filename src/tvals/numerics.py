@@ -32,7 +32,6 @@ __all__ = [
     "const_catalan",
     "base_expansion",
     "evaluate_expansion",
-    "expansion_remainder_bound",
 ]
 
 _GUARD_BITS = 32
@@ -270,33 +269,28 @@ def base_expansion(k: int, order: int) -> tuple[tuple[tuple[int, Fraction], ...]
     return tuple(sorted(coeffs.items())), bound
 
 
-def expansion_remainder_bound(bound: Fraction, order: int, n: int) -> Fraction:
-    """Exact value of ``A * (1/(2n+1))**(order+1)``."""
-    return bound * Fraction(1, (2 * n + 1) ** (order + 1))
+# an expansion as integers over one denominator, reduced:
+# ``(den, ((power, num), ...), bound)`` for coefficients ``num/den`` in
+# increasing power and the remainder constant ``bound/den``
+_View = tuple[int, tuple[tuple[int, int], ...], int]
 
 
-@lru_cache(maxsize=8192)
-def evaluate_expansion(
-    coefficients: tuple[tuple[int, Fraction], ...],
-    bound: Fraction,
-    order: int,
-    n: int,
-    precision_bits: int,
-) -> Enclosure:
-    """Enclose a ``w``-power expansion at ``w = 1/(2n+1)`` with its remainder.
+def evaluate_expansion(view: _View, order: int, n: int, wp: int) -> tuple[int, int]:
+    """Scaled seeds of a ``w``-power expansion at ``w = 1/(2n+1)``.
 
-    ``coefficients`` run in increasing power.  The sum is exact: Horner's
-    rule in ``m = 2n+1`` on the numerators over the lcm of the
-    denominators, divided once by that lcm times ``m**top``.
+    ``view`` is a ``_View`` with no power above ``order + 1``.  With ``S``
+    the sum and ``R = (bound/den) * w**(order+1)`` the remainder, returns
+    the integers ``floor((S - R) * 2**wp)`` and ``ceil((S + R) * 2**wp)``.
+    Both are exact: Horner's rule in ``m = 2n+1`` on the numerators, then
+    one floor division each by ``den * m**(order+1)``.
     """
+    den, coefficients, bound = view
     m = 2 * n + 1
-    den = math.lcm(*(coeff.denominator for _, coeff in coefficients))
     acc = 0
     top = 0
-    for power, coeff in coefficients:
-        acc = acc * m ** (power - top) + coeff.numerator * (den // coeff.denominator)
+    for power, num in coefficients:
+        acc = acc * m ** (power - top) + num
         top = power
-    value = Fraction(acc, den * m**top)
-    return Enclosure.from_fraction(value, precision_bits + _GUARD_BITS).widen(
-        expansion_remainder_bound(bound, order, n)
-    )
+    total = acc * m ** (order + 1 - top)
+    scale = den * m ** (order + 1)
+    return ((total - bound) << wp) // scale, -((-(total + bound) << wp) // scale)

@@ -65,6 +65,16 @@ def test_cold_row_runs_in_a_fresh_process_without_mpmath():
     assert set(got) == {"seconds", "python", "tvals"}
 
 
+def test_cold_grid_starts_with_a_calibration_loop():
+    assert record.COLD_GRID[0] == ("calibration", 6)
+    assert record.REPEAT == 5
+    assert record._name("calibration", 6) == (
+        "calibration (10**6 steps of a pure-Python integer loop)"
+    )
+    small, large = (record.time_cold(ROOT, "calibration", (), e)["seconds"] for e in (1, 5))
+    assert 0 < small < large
+
+
 def test_cold_grid_times_the_direct_oracle():
     assert ("evaluate_direct_many", 5) in record.COLD_GRID
     assert record._name("evaluate_direct_many", 5) == (

@@ -28,15 +28,40 @@ from tvals.evaluator import (
 )
 from tvals.indices import ValueSpec, enumerate_admissible_up_to
 from tvals.numerics import (
-    _GUARD_BITS,
     PrecisionBudget,
     base_expansion,
     const_pi,
     evaluate_expansion,
-    expansion_remainder_bound,
 )
 
 TIGHT = Fraction(1, 10**30)
+
+
+def as_fractions(view):
+    """An expansion view ``(den, ((power, num), ...), bound)`` as the
+    ``(coefficients, bound)`` pair of ``Fraction``s it stands for."""
+    den, nums, bound = view
+    return tuple((p, Fraction(num, den)) for p, num in nums), Fraction(bound, den)
+
+
+def as_view(coefficients, bound):
+    """The reduced view of ``Fraction`` coefficients and bound."""
+    den = math.lcm(bound.denominator, *(c.denominator for _, c in coefficients))
+    return (
+        den,
+        tuple((p, c.numerator * (den // c.denominator)) for p, c in coefficients),
+        bound.numerator * (den // bound.denominator),
+    )
+
+
+def exact_seed(view, order, n):
+    """The exact ``(S - R, S + R)`` of a view at ``w = 1/(2n+1)``: its sum
+    ``S`` and its remainder ``R = bound * w**(order+1)``."""
+    coefficients, bound = as_fractions(view)
+    w = Fraction(1, 2 * n + 1)
+    value = sum((c * w**p for p, c in coefficients), Fraction(0))
+    remainder = bound * w ** (order + 1)
+    return value - remainder, value + remainder
 
 
 def enclosure_of(index, offset=0, width=TIGHT):
@@ -397,6 +422,15 @@ def test_divergent_leading_exponent_rejected():
         evaluate_direct(ValueSpec((1,), 0), max_outer=100)
 
 
+@pytest.mark.parametrize("width", [Fraction(4), Fraction(1, 10**8)], ids=str)
+def test_budget_starting_below_ten_bits_evaluates(width):
+    # rungs below ten bits have precision floors 2**-(bits-10) above one
+    budget = PrecisionBudget(start_bits=8, max_bits=64)
+    got = evaluate(EvalRequest(ValueSpec((2, 1), 0), width, budget))
+    assert got.width() <= width
+    assert got.overlaps(enclosure_of((2, 1)))
+
+
 def test_request_default_width_is_modest():
     request = EvalRequest(ValueSpec((2,), 0))
     got = evaluate(request)
@@ -450,6 +484,45 @@ def test_harmonic_product_with_depth_two_factor(a, b, c):
     assert stuffle.width() <= 5 * width
 
 
+def quasi_shuffles(a, b):
+    """The terms of the harmonic product ``t(a) t(b)``, repeats included:
+    the largest variable is ``a``'s first alone, ``b``'s first alone, or
+    both at once."""
+    if not a or not b:
+        return [a + b]
+    return (
+        [a[:1] + w for w in quasi_shuffles(a[1:], b)]
+        + [b[:1] + w for w in quasi_shuffles(a, b[1:])]
+        + [(a[0] + b[0],) + w for w in quasi_shuffles(a[1:], b[1:])]
+    )
+
+
+PRODUCT_PAIRS = [
+    (a, b)
+    for a in enumerate_admissible_up_to(6)
+    for b in enumerate_admissible_up_to(6)
+    if sum(a) + sum(b) <= 8
+]
+
+
+@pytest.mark.parametrize(
+    "pair", PRODUCT_PAIRS, ids=lambda p: "x".join(",".join(map(str, k)) for k in p)
+)
+def test_harmonic_product_property(pair):
+    # t(a) t(b) is the sum of t(w) over the quasi-shuffles w of a and b;
+    # every t(w) is far above the widths, so the sum without any one term
+    # is disjoint from the product
+    a, b = pair
+    width = Fraction(1, 10**200)
+    product = enclosure_of(a, width=width) * enclosure_of(b, width=width)
+    terms = quasi_shuffles(a, b)
+    values = {w: enclosure_of(w, width=width) for w in terms}
+    total = sum((values[w] for w in terms[1:]), values[terms[0]])
+    assert product.overlaps(total)
+    for value in values.values():
+        assert not product.overlaps(total - value)
+
+
 # --- planner and recurrence -------------------------------------------------
 
 def test_plan_prices_the_expansion_build(monkeypatch):
@@ -474,7 +547,10 @@ def test_plan_prices_the_expansion_build(monkeypatch):
         order, seed = evaluator._plan(index, offset, tau)
         assert set(built) <= {order, anchor}
         assert 0 <= seed - offset <= evaluator._MAX_STEPS
-        bound = sum(prefix_expansion(index[:i], order)[1] for i in range(1, len(index) + 1))
+        bound = sum(
+            as_fractions(prefix_expansion(index[:i], order))[1]
+            for i in range(1, len(index) + 1)
+        )
         ratio = bound * 6 ** len(index) * 4 / tau
         assert (2 * seed + 1) ** (order + 1) >= ratio
         assert (2 * seed - 1) ** (order + 1) < ratio  # no later than needed
@@ -550,15 +626,14 @@ def test_depth_four_at_width_1e_100():
 @pytest.mark.parametrize("index,offset", [((2,), 0), ((3, 1, 2), 0), ((2, 1, 1), 3)])
 def test_recurrence_rounds_outward(index, offset):
     # the fixed-point loop against the same recurrence in exact rationals,
-    # started from the same seed enclosures
+    # started from the exact expansion sums minus and plus their remainders
     bits, order, seed = 64, 8, 40
     got = evaluator._evaluate_at(index, offset, bits, order, seed)
     los, his = [Fraction(1)], [Fraction(1)]
     for i in range(1, len(index) + 1):
-        coeffs, bound = prefix_expansion(index[:i], order)
-        start = evaluate_expansion(coeffs, bound, order, seed, bits)
-        los.append(max(Fraction(0), start.lo_fraction))
-        his.append(start.hi_fraction)
+        lo, hi = exact_seed(prefix_expansion(index[:i], order), order, seed)
+        los.append(max(Fraction(0), lo))
+        his.append(hi)
     for j in range(seed - 1, offset - 1, -1):
         for i in range(len(index), 0, -1):
             power = (2 * j + 1) ** index[i - 1]
@@ -576,28 +651,35 @@ def test_expansion_remainder_encloses_tail_at_low_order(index):
     for n in (1, 2):
         truth = enclosure_of(index, offset=n)
         for order in (2, 3, 4, 6, 8):
-            coeffs, bound = prefix_expansion(index, order)
-            assert evaluate_expansion(coeffs, bound, order, n, 128).overlaps(truth)
+            lo, hi = exact_seed(prefix_expansion(index, order), order, n)
+            assert lo <= truth.hi_fraction and truth.lo_fraction <= hi
 
 
-# SHA-256 of repr(prefix_expansion(k, order)) over the grid below, each
-# built from an empty cache: the construction is exact, so a changed
-# coefficient or bound shows here even where the result would stay sound
+# SHA-256 of the repr of the (coefficients, bound) pair of Fractions of
+# prefix_expansion(k, order) over the grid below, each built from an empty
+# cache: the construction is exact, so a changed coefficient or bound shows
+# here even where the result would stay sound.  The first digest hashes the
+# coefficients alone, so a change to the bounds leaves it as it is.  Both
+# were taken when prefix_expansion still returned Fractions.
+EXPANSION_COEFFICIENTS_SHA256 = "662b7a548a0bc0a826d97e13552f00869088bf7a1069d43a472d5bcb793bd73a"
 EXPANSION_GRID_SHA256 = "4a85a894e422522a07e11b42083e0086b3ede623e6b5968e49c16934ce4f55c2"
 
 
 def test_prefix_expansions_are_frozen():
-    digest = hashlib.sha256()
+    coefficients, full = hashlib.sha256(), hashlib.sha256()
     for index in [(2, 1), (2, 1, 1, 1), (3, 1, 2)]:
         for order in (8, 16, 32):
             prefix_expansion.cache_clear()
-            digest.update(repr(prefix_expansion(index, order)).encode())
-    assert digest.hexdigest() == EXPANSION_GRID_SHA256
+            expansion = as_fractions(prefix_expansion(index, order))
+            coefficients.update(repr(expansion[0]).encode())
+            full.update(repr(expansion).encode())
+    assert coefficients.hexdigest() == EXPANSION_COEFFICIENTS_SHA256
+    assert full.hexdigest() == EXPANSION_GRID_SHA256
 
 
-# SHA-256 of repr(prefix_expansion(k, 128)) for the indices below, each
-# built from an empty cache, taken with the Fraction build before the
-# integer one
+# SHA-256 of the repr of the (coefficients, bound) pair of Fractions of
+# prefix_expansion(k, 128) for the indices below, each built from an empty
+# cache, taken with the Fraction build before the integer one
 ORDER_128_SHA256 = "0176aef34d209939528b5fc6bb7d181743f6031b4aa4b6003688ebd1571d1656"
 
 
@@ -605,26 +687,35 @@ def test_order_128_expansions_are_frozen():
     digest = hashlib.sha256()
     for index in [(2, 1, 1, 1), (3, 1, 2), (2, 1, 1, 1, 1, 1)]:
         prefix_expansion.cache_clear()
-        digest.update(repr(prefix_expansion(index, 128)).encode())
+        view = prefix_expansion(index, 128)
+        assert math.gcd(*view[0:1], *(num for _, num in view[1]), view[2]) == 1
+        digest.update(repr(as_fractions(view)).encode())
     assert digest.hexdigest() == ORDER_128_SHA256
 
 
 # SHA-256 of (k, n, w, lo, hi, bits) of the fast path over the weight <= 6,
 # depth <= 4 indices.  The endpoints follow the planner's plans, so a
 # planner change moves this digest; the order facts that must not move are
-# pinned apart, as the ranks and indices of beta_table(12) in test_order.py
-FAST_PATH_SHA256 = "c761ad5f1afd33aa09b51880b1152c5a2e70228df77009ee7974b8c7bbf84209"
+# pinned apart, as the ranks and indices of beta_table(12) in test_order.py.
+# The integer seeds moved one of the 270 enclosures inward, and
+# test_fast_path_lies_inside_the_enclosure_seeded_the_old_way checks that
+# every one lies inside the enclosure of the old seeds
+FAST_PATH_SHA256 = "9257bcb8f6f31bdd90489414c00071a192b515b313a3070a3b7b36e138f39da9"
+
+
+def fast_path_grid():
+    """The ``_evaluate_cached`` arguments of the ``FAST_PATH_SHA256`` grid."""
+    indices = [k for k in enumerate_admissible_up_to(6) if len(k) <= 4]
+    assert len(indices) == 30
+    widths = (Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 10**45))
+    return [(k, n, w, PrecisionBudget()) for k in indices for n in (0, 1, 2) for w in widths]
 
 
 def test_fast_path_enclosures_are_frozen():
-    indices = [k for k in enumerate_admissible_up_to(6) if len(k) <= 4]
-    assert len(indices) == 30
     digest = hashlib.sha256()
-    for k in indices:
-        for n in (0, 1, 2):
-            for w in (Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 10**45)):
-                e = evaluator.evaluate_spec(ValueSpec(k, n), w)
-                digest.update(repr((k, n, w, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
+    for k, n, w, _ in fast_path_grid():
+        e = evaluator.evaluate_spec(ValueSpec(k, n), w)
+        digest.update(repr((k, n, w, e.lo_fraction, e.hi_fraction, e.precision_bits)).encode())
     assert digest.hexdigest() == FAST_PATH_SHA256
 
 
@@ -696,19 +787,25 @@ def _step_inputs():
 
 @pytest.mark.parametrize("inner, order, s", list(_step_inputs()), ids=str)
 def test_integer_step_matches_fraction_step(inner, order, s):
-    coeffs, bound = prefix_expansion(inner, order)
-    got = evaluator._step_expansion(coeffs, bound, s, order)
-    assert got == reference_step_expansion(coeffs, bound, s, order)
+    view = prefix_expansion(inner, order)
+    coeffs, bound = as_fractions(view)
+    got = evaluator._step_expansion(view, s, order)
+    want = reference_step_expansion(coeffs, bound, s, order)
+    assert as_fractions(got) == want
+    # the view is reduced, so equal expansions have equal views
+    assert got == as_view(*want)
     # zero coefficients, anywhere in the input, contribute nothing
-    padded = ((1, Fraction(0)),) + coeffs + ((order + 1, Fraction(0)),)
-    assert evaluator._step_expansion(padded, bound, s, order) == got
-    assert reference_step_expansion(padded, bound, s, order) == got
+    den, nums, bound_num = view
+    padded = (den, ((1, 0),) + nums + ((order + 1, 0),), bound_num)
+    assert evaluator._step_expansion(padded, s, order) == got
+    assert reference_step_expansion(*as_fractions(padded), s, order) == want
 
 
 def test_step_of_an_empty_expansion_scales_the_bound():
-    coeffs, bound = base_expansion(12, 8)
-    assert coeffs == ()
-    assert evaluator._step_expansion(coeffs, bound, 3, 8) == ((), bound / 6)
+    view = prefix_expansion((12,), 8)
+    assert view[1] == ()
+    got = evaluator._step_expansion(view, 3, 8)
+    assert as_fractions(got) == ((), base_expansion(12, 8)[1] / 6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -719,21 +816,39 @@ def test_step_of_an_empty_expansion_scales_the_bound():
         max_size=12,
     ),
     n=st.integers(0, 10**6),
-    bits=st.integers(8, 600),
+    wp=st.integers(8, 600),
     bound=st.fractions(min_value=0, max_denominator=10**6),
+    extra=st.integers(0, 3),
 )
-def test_evaluate_expansion_is_the_plain_fraction_sum(terms, n, bits, bound):
-    coefficients = tuple(sorted(terms.items()))
-    order = max(terms, default=0) + 1
-    got = evaluate_expansion(coefficients, bound, order, n, bits)
-    w = Fraction(1, 2 * n + 1)
-    value = sum((c * w**p for p, c in coefficients), Fraction(0))
-    want = Enclosure.from_fraction(value, bits + _GUARD_BITS).widen(
-        expansion_remainder_bound(bound, order, n)
+def test_evaluate_expansion_seeds_are_the_exact_floor_and_ceiling(terms, n, wp, bound, extra):
+    view = as_view(tuple(sorted(terms.items())), bound)
+    order = max(terms, default=0) + extra
+    lo, hi = exact_seed(view, order, n)
+    assert evaluate_expansion(view, order, n, wp) == (
+        math.floor(lo * 2**wp), math.ceil(hi * 2**wp)
     )
-    assert (got.lo_fraction, got.hi_fraction, got.precision_bits) == (
-        want.lo_fraction, want.hi_fraction, want.precision_bits
-    )
+
+
+def reference_seed(view, order, n, wp):
+    """The seeds as they were built before they were integers: the sum
+    rounded outward to ``wp`` bits as an ``Enclosure``, widened by the
+    remainder, then floored and ceiled at scale ``2**wp``."""
+    lo, hi = exact_seed(view, order, n)  # the sum is the midpoint
+    start = Enclosure.from_fraction((lo + hi) / 2, wp).widen((hi - lo) / 2)
+    return math.floor(start.lo_fraction * 2**wp), math.ceil(start.hi_fraction * 2**wp)
+
+
+def test_fast_path_lies_inside_the_enclosure_seeded_the_old_way(monkeypatch):
+    # the integer seeds lie inside the old ones and the recurrence is
+    # monotone in its seeds, so every enclosure of the FAST_PATH_SHA256 grid
+    # lies inside the one the old seeds give
+    fresh = evaluator._evaluate_cached.__wrapped__
+    got = {key: fresh(*key) for key in fast_path_grid()}
+    monkeypatch.setattr(evaluator, "evaluate_expansion", reference_seed)
+    for key, enclosure in got.items():
+        reference = fresh(*key)
+        assert reference.lo_fraction <= enclosure.lo_fraction
+        assert enclosure.hi_fraction <= reference.hi_fraction
 
 
 def test_budget_message_reports_widths_below_the_float_range():
