@@ -5,13 +5,16 @@ Two independent evaluators are provided:
 * :func:`evaluate` — the production path.  For each prefix of the index it
   builds an exact rational asymptotic expansion of the tail function in
   ``w = 1/(2n+1)``, held as integers over one reduced denominator (a
-  *view*).  It seeds all prefixes at a large offset where the expansion
-  remainder is provably small, each seed the floor or ceiling of the
-  view's sum minus or plus its remainder at scale ``2**wp``, and walks the
-  exact tail recurrence
+  *view*): at depth one in closed form from the integer tangent numbers,
+  deeper by an exact step per exponent.  It seeds all prefixes at a large
+  offset where the expansion remainder is provably small, each seed the
+  floor or ceiling of the view's sum minus or plus its remainder at scale
+  ``2**wp``, and walks the exact tail recurrence
   ``t(k)_n = t(k)_{n+1} + (2n+1)^(-k_d) * t(k_1..k_{d-1})_{n+1}`` downward in
   that scaled-integer fixed point, flooring lower and ceiling upper
-  endpoints.  From expansion to recurrence no ``Fraction`` is built.
+  endpoints; the upper chain is held negated, so that each endpoint is one
+  floor division per step.  From the first expansion coefficient to the
+  recurrence no ``Fraction`` is built.
   A planner prices each expansion order from an estimate of its remainder
   bound, weighing the recurrence steps against the cost of building the
   expansions, and builds only the order it picks.  The first plan aims at
@@ -122,19 +125,6 @@ def _partial_fraction(
     )
 
 
-@lru_cache(maxsize=None)
-def _base_view(k: int, order: int) -> _View:
-    """``base_expansion(k, order)`` as a view.  The lcm of reduced
-    denominators leaves no common factor, so the view is reduced."""
-    coeffs, bound = base_expansion(k, order)
-    scale = math.lcm(bound.denominator, *(v.denominator for _, v in coeffs))
-    return (
-        scale,
-        tuple((p, v.numerator * (scale // v.denominator)) for p, v in coeffs),
-        bound.numerator * (scale // bound.denominator),
-    )
-
-
 def _step_expansion(view: _View, s: int, order: int) -> _View:
     """Expansion of ``n -> sum_{j>n} (2j-1)**(-s) f(j)`` given one for ``f``.
 
@@ -147,9 +137,10 @@ def _step_expansion(view: _View, s: int, order: int) -> _View:
     ``mass[i]`` for the bound) and each ``base_expansion(i)`` is added once,
     which keeps the exact work at O(order**2).  All of it runs on integers:
     the input view over its ``den``, the dyadic split over
-    ``2**(s+top-1)``, each base expansion over its own denominator
-    (``_base_view``) and their sum over the lcm of those.  The output is a
-    view again, reduced by one gcd, so no level builds a ``Fraction``.
+    ``2**(s+top-1)``, each base expansion over its own denominator, as
+    ``base_expansion`` returns it, and their sum over the lcm of those; the
+    sums run in lists indexed by power.  The output is a view again,
+    reduced by one gcd, so no level builds a ``Fraction``.
     """
     den, coeffs, bound = view
     top = max((q for q, _ in coeffs), default=1)
@@ -158,36 +149,37 @@ def _step_expansion(view: _View, s: int, order: int) -> _View:
     # ``far`` sums |d c| 3**(reach-(i-1-cut)), so that it is over 3**reach
     reach = max(max(s, top) - 1 - cut, 0)
     far = 0
-    # over den * 2**(s+top-1)
-    new: dict[int, int] = {}
-    weight: dict[int, int] = {}
-    mass: dict[int, int] = {}
+    # over den * 2**(s+top-1); new holds powers up to top, the poles kept
+    # in weight and mass go up to cut
+    new = [0] * (max(top, order) + 1)
+    weight = [0] * (cut + 1)
+    mass = [0] * (cut + 1)
     for q, d in coeffs:
         if not d:
             continue
         num = d << (top - q)
         a1, gammas, poles = _partial_fraction(s, q)
-        new[1] = new.get(1, 0) + num * a1
+        new[1] += num * a1
         for i, g in gammas:
-            new[i] = new.get(i, 0) - num * g
+            new[i] -= num * g
         for i, c in poles:
             dc = num * c
             if i > cut:
                 far += abs(dc) * 3 ** (reach - (i - 1 - cut))
                 continue
-            weight[i] = weight.get(i, 0) + dc
-            mass[i] = mass.get(i, 0) + abs(dc)
-    views = {i: _base_view(i, order) for i in weight}
-    lcm = math.lcm(*(view[0] for view in views.values()))
+            weight[i] += dc
+            mass[i] += abs(dc)
+    # every pole met has mass, also where its weights cancel
+    views = [(i, base_expansion(i, order)) for i in range(2, cut + 1) if mass[i]]
+    lcm = math.lcm(*(view[0] for _, view in views))
     # over den * 2**(s+top-1) * lcm
-    acc = {p: v * lcm for p, v in new.items()}
+    acc = [v * lcm for v in new]
     spread = 0
-    for i, e in weight.items():
-        scale, base_nums, base_bound = views[i]
+    for i, (scale, base_nums, base_bound) in views:
         lift = lcm // scale
-        e *= lift
+        e = weight[i] * lift
         for p, b in base_nums:
-            acc[p] = acc.get(p, 0) + e * b
+            acc[p] += e * b
         spread += mass[i] * lift * base_bound
     # over ``total``: the summand's own remainder summed over j > n, the
     # input bound times 3 / (2 * 3**(s-1)), plus the pole masses; the
@@ -199,7 +191,7 @@ def _step_expansion(view: _View, s: int, order: int) -> _View:
         + 2 * 3**rise * spread
         + 3 ** (rise - reach + 1) * lcm * far
     )
-    nums = [(p, v * 2 * 3**rise) for p, v in sorted(acc.items()) if v]
+    nums = [(p, v * 2 * 3**rise) for p, v in enumerate(acc) if v]
     g = math.gcd(total, new_bound, *(v for _, v in nums))
     return total // g, tuple((p, v // g) for p, v in nums), new_bound // g
 
@@ -216,7 +208,7 @@ def prefix_expansion(prefix: MultiIndex, order: int) -> _View:
     if prefix[0] < 2:
         raise DivergentError(f"inadmissible prefix {prefix}")
     if len(prefix) == 1:
-        return _base_view(prefix[0], order)
+        return base_expansion(prefix[0], order)
     return _step_expansion(prefix_expansion(prefix[:-1], order), prefix[-1], order)
 
 
@@ -224,29 +216,37 @@ def prefix_expansion(prefix: MultiIndex, order: int) -> _View:
 # accelerated evaluation
 # ----------------------------------------------------------------------
 def _kth_root_ceil(x: int, k: int) -> int:
+    """Least positive ``r`` with ``r**k >= x``.
+
+    Integer Newton steps ``((k-1)*r + x // r**(k-1)) // k`` never land
+    below ``f = floor(x**(1/k))`` (AM-GM) and decrease while above it, so
+    from a start at or above ``f`` they stall exactly at ``f``.  The start
+    is a float estimate raised by a margin far above its rounding error and
+    checked by one power (else the power of two above the root), so the
+    float never decides the result.
+    """
     if x <= 1:
         return 1
-    # integer-only bisection; float pow overflows for very large x
-    lo, hi = 1, 1 << -(-x.bit_length() // k)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k >= x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    estimate = math.log2(x) / k + 2.0**-30
+    whole = int(estimate)
+    r = ((int(2 ** (estimate - whole) * (1 << 52)) << whole) >> 52) + 1
+    if r**k < x:
+        r = 1 << -(-x.bit_length() // k)
+    while True:
+        step = ((k - 1) * r + x // r ** (k - 1)) // k
+        if step >= r:
+            return r if r**k >= x else r + 1
+        r = step
 
 
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_STEPS = 20_000
 # Cost of building the expansions of one order, per order**2, in units of
-# one recurrence step of one prefix (0.17-0.28 us at 64 to 512 bits).
-# Measured on CPython 3.11 (2 vCPU) at orders 8-128 with integer views:
-# building every prefix of a depth-2 to depth-4 index takes 1.1-10.5 units
-# per order**2 once the depth-1 base expansions and the partial-fraction
-# splits, which all indices share, are cached (the top at order 128 and
-# depth 4), and 10-17 units from empty caches; the build that ended in
-# Fractions took 1.5-11 and 10-18 on the same host.
+# one recurrence step of one prefix (0.13-0.23 us at 64 to 512 bits).
+# Measured on CPython 3.11 (2 vCPU) at orders 8-128 over the prefixes of
+# (2,1), (2,1,1), (2,1,1,1) and (3,1,2): 0.4-2.8 units per order**2 once
+# the depth-1 base expansions and the partial-fraction splits, which all
+# indices share, are cached, and 1.8-6.8 units from empty caches.
 _BUILD_COST = 4
 
 
@@ -331,26 +331,30 @@ def _evaluate_at(
     zero, which is sound because the true values are positive sums), so a
     step is one floor division for the lower endpoint and one ceiling
     division for the upper, each off by less than one unit in the
-    direction that keeps the enclosure.
+    direction that keeps the enclosure.  The upper chain is kept negated,
+    ``floor(-h/p) == -ceil(h/p)``, so both are one floor division each, by
+    ``odd`` itself where the exponent is 1.
     """
     wp = bits + _GUARD_BITS
     one = 1 << wp
-    # level 0 is the empty prefix, the constant 1
+    # level 0 is the empty prefix, the constant 1; negs holds the upper
+    # endpoints negated
     los = [one]
-    his = [one]
+    negs = [-one]
     for i in range(1, len(index) + 1):
         lo, hi = evaluate_expansion(prefix_expansion(index[:i], order), order, seed, wp)
         los.append(max(0, lo))
-        his.append(hi)
-    levels = range(len(index), 0, -1)  # deepest first: each reads step j+1
+        negs.append(-hi)
+    # deepest first: each reads step j+1
+    levels = [(i, index[i - 1]) for i in range(len(index), 0, -1)]
     for j in range(seed - 1, offset - 1, -1):
         odd = 2 * j + 1
-        for i in levels:
-            p = odd ** index[i - 1]
+        for i, k in levels:
+            p = odd if k == 1 else odd**k
             los[i] += los[i - 1] // p
-            his[i] += -((-his[i - 1]) // p)
+            negs[i] += negs[i - 1] // p
     return Enclosure.from_fraction_pair(
-        Fraction(los[-1], one), Fraction(his[-1], one), wp
+        Fraction(los[-1], one), Fraction(-negs[-1], one), wp
     )
 
 

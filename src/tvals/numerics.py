@@ -9,6 +9,10 @@ Everything here is either exact integer/rational arithmetic or an
   evaluated by an inverse-hyperbolic-tangent series; both have positive terms
   with certified geometric term ratios (1/4 and 1/3), giving closed-form
   tail bounds.
+* ``base_expansion`` gives the depth-one tail expansions as integer views,
+  each coefficient a ratio of a tangent number and a binomial.  The tangent
+  numbers come from an integer triangle, which ``bernoulli_fraction``
+  reads too.
 
 All functions are pure; memoization caches only deterministic values.
 """
@@ -79,8 +83,29 @@ class PrecisionBudget(_Frozen):
 # exact integer sequences
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """The tangent numbers ``T_1, ..., T_n``, the integers with
+    ``tan x = sum T_r x**(2r-1) / (2r-1)!``, by the O(n**2) integer
+    triangle of Brent and Harvey, "Fast computation of Bernoulli, tangent
+    and secant numbers" (arXiv:1108.0286).  Entry ``r`` reads only the
+    entries up to ``r`` and the passes beyond ``r`` leave it alone, so
+    ``T_r`` is the same for every ``n >= r``."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1 : n + 1])
+
+
+@lru_cache(maxsize=None)
 def bernoulli_fraction(n: int) -> Fraction:
-    """Exact Bernoulli number ``B_n`` (``B_1 = -1/2`` convention)."""
+    """Exact Bernoulli number ``B_n`` (``B_1 = -1/2`` convention).
+
+    The even ones come from the tangent numbers:
+    ``B_2h = (-1)**(h-1) * 2h * T_h / (4**h * (4**h - 1))``.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -89,10 +114,12 @@ def bernoulli_fraction(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli_fraction(j)
-    return -acc / (n + 1)
+    half = n // 2
+    four = 4**half
+    # lengths rounded up to a power of two, so that a table of B_n shares
+    # a few triangles
+    tangent = _tangent_numbers(1 << (half - 1).bit_length())[half - 1]
+    return Fraction((-1) ** (half - 1) * n * tangent, four * (four - 1))
 
 
 @lru_cache(maxsize=None)
@@ -109,14 +136,6 @@ def euler_int(n: int) -> int:
     for k in range(half):
         acc += math.comb(n, 2 * k) * euler_int(2 * k)
     return -acc
-
-
-def _rising(a: int, m: int) -> int:
-    """Rising factorial ``a (a+1) ... (a+m-1)``."""
-    result = 1
-    for i in range(m):
-        result *= a + i
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -226,53 +245,60 @@ def const_catalan(precision_bits: int) -> Enclosure:
 # ----------------------------------------------------------------------
 # odd-power tail expansions
 # ----------------------------------------------------------------------
+# an expansion as integers over one denominator, reduced:
+# ``(den, ((power, num), ...), bound)`` for coefficients ``num/den`` in
+# increasing power and the remainder constant ``bound/den``
+_View = tuple[int, tuple[tuple[int, int], ...], int]
+
+
 @lru_cache(maxsize=None)
-def base_expansion(k: int, order: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
+def base_expansion(k: int, order: int) -> _View:
     """Asymptotic expansion of ``sum_{m>n} (2m-1)^(-k)`` in ``w = 1/(2n+1)``.
 
-    Returns ``(coefficients, bound)`` where ``coefficients`` maps powers
-    ``p <= order`` of ``w`` to exact rationals and ``bound`` is a constant
-    ``A`` such that the truncation error is within ``A * w**(order+1)`` for
-    every ``n >= 1``.  The summand is completely monotone, so the
-    Euler--Maclaurin remainder is enveloped by the first omitted term; when
-    that term has power above ``order + 1`` it is rescaled using ``w <= 1/3``.
+    Returns a reduced ``_View`` of the coefficients of the powers
+    ``p <= order`` of ``w`` and of a constant ``A`` such that the
+    truncation error is within ``A * w**(order+1)`` for every ``n >= 1``.
+    The coefficients are ``1/(2(k-1))`` at ``w**(k-1)``, ``1/2`` at
+    ``w**k`` and the Euler--Maclaurin terms at ``w**(k+2r-1)``,
+    ``2**(2r-1) B_2r k(k+1)...(k+2r-2) / (2r)!``, which the tangent numbers
+    ``T_r`` give as the integer ratio
+    ``c_r = (-1)**(r-1) * T_r * C(k+2r-2, 2r-1) / (2 * (4**r - 1))``.
+    The summand is completely monotone, so the Euler--Maclaurin remainder
+    is enveloped by the first omitted term ``c_r``; when that term has
+    power above ``order + 1`` it is rescaled using ``w <= 1/3``, and so are
+    the leading terms that themselves fall beyond the order (large ``k``).
+    Writing ``B_2r`` through ``T_r`` changes no value: the coefficients and
+    the bound, made of the same omitted terms, are the rationals of the
+    Bernoulli form, and a reduced view of given values is unique.
     """
     if k < 2:
         raise DivergentError(f"odd-power tail diverges for exponent {k}")
     if order < 1:
         raise ValueError("order must be positive")
-    coeffs: dict[int, Fraction] = {}
-    if k - 1 <= order:
-        coeffs[k - 1] = Fraction(1, 2 * (k - 1))
-    if k <= order:
-        coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(1, 2)
-    r = 1
-    while True:
-        c = (
-            Fraction(2 ** (2 * r - 1))
-            * bernoulli_fraction(2 * r)
-            * _rising(k, 2 * r - 1)
-            / Fraction(math.factorial(2 * r))
-        )
-        if k + 2 * r - 1 > order:
-            break  # c is the first omitted term
-        coeffs[k + 2 * r - 1] = coeffs.get(k + 2 * r - 1, Fraction(0)) + c
-        r += 1
-    first_omitted_power = k + 2 * r - 1
-    bound = abs(c) / Fraction(3 ** (first_omitted_power - (order + 1)))
-    # leading terms that themselves fall beyond the order (large k) join the
-    # remainder, rescaled by powers of w <= 1/3
-    if k - 1 > order:
-        bound += Fraction(1, 2 * (k - 1)) / Fraction(3 ** (k - 1 - (order + 1)))
-    if k > order:
-        bound += Fraction(1, 2) / Fraction(3 ** (k - (order + 1)))
-    return tuple(sorted(coeffs.items())), bound
-
-
-# an expansion as integers over one denominator, reduced:
-# ``(den, ((power, num), ...), bound)`` for coefficients ``num/den`` in
-# increasing power and the remainder constant ``bound/den``
-_View = tuple[int, tuple[tuple[int, int], ...], int]
+    # (power, numerator, denominator) of each term up to the first omitted
+    # c_r; k=2 omits c_r first at r = (order+1)//2, larger k sooner
+    tangents = _tangent_numbers((order + 1) // 2)
+    terms = [(k - 1, 1, 2 * (k - 1)), (k, 1, 2)]
+    for r, tangent in enumerate(tangents, 1):
+        power = k + 2 * r - 1
+        num = (-1) ** (r - 1) * tangent * math.comb(power - 1, 2 * r - 1)
+        terms.append((power, num, 2 * (4**r - 1)))
+        if power > order:
+            break
+    # the omitted terms join the bound as |num| / (den * 3**(power-cut));
+    # each term reduced, so that their common denominator stays small
+    cut = order + 1
+    parts = []
+    for p, num, d in terms:
+        if p > order:
+            num, d = abs(num), d * 3 ** (p - cut)
+        g = math.gcd(num, d)
+        parts.append((p, num // g, d // g))
+    den = math.lcm(*(d for _, _, d in parts))
+    nums = [(p, num * (den // d)) for p, num, d in parts if p <= order]
+    bound = sum(num * (den // d) for p, num, d in parts if p > order)
+    g = math.gcd(den, bound, *(num for _, num in nums))
+    return den // g, tuple((p, num // g) for p, num in nums), bound // g
 
 
 def evaluate_expansion(view: _View, order: int, n: int, wp: int) -> tuple[int, int]:

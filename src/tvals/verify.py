@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .enclosure import Enclosure, _format_lower
+from .enclosure import Enclosure, _format_lower, _format_sci
 from .errors import BudgetExceededError, UnresolvedComparisonError
 from .evaluator import evaluate_spec
 from .indices import (
@@ -154,7 +154,8 @@ def _overlap_finding(
     detail: str,
 ) -> Finding:
     overlap = computed.overlaps(reference)
-    narrow = computed.width() + reference.width() <= tolerance
+    width = computed.width() + reference.width()
+    narrow = width <= tolerance
     verdict = "pass" if overlap and narrow else ("fail" if not overlap else "unresolved")
     return Finding(
         subject=subject,
@@ -162,12 +163,11 @@ def _overlap_finding(
         detail=detail
         if verdict == "pass"
         else f"{detail}; overlap={overlap}, combined width "
-        f"{float(computed.width() + reference.width()):.3e} vs tolerance "
-        f"{float(tolerance):.3e}",
+        f"{_format_sci(width)} vs tolerance {_format_sci(tolerance)}",
         data={
             "computed": _enc_json(computed),
             "reference": _enc_json(reference),
-            "combined_width": f"{float(computed.width() + reference.width()):.6e}",
+            "combined_width": _format_sci(width),
         },
     )
 

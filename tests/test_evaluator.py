@@ -7,7 +7,9 @@ evaluator must enclose them independently.
 
 import functools
 import hashlib
+import itertools
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvals import evaluator
+from tvals import evaluator, numerics
 from tvals.enclosure import Enclosure
 from tvals.errors import BudgetExceededError, DivergentError
 from tvals.evaluator import (
@@ -28,6 +30,7 @@ from tvals.evaluator import (
 )
 from tvals.indices import ValueSpec, enumerate_admissible_up_to
 from tvals.numerics import (
+    _GUARD_BITS,
     PrecisionBudget,
     base_expansion,
     const_pi,
@@ -616,6 +619,59 @@ def test_seed_is_the_least_that_meets_the_ratio(ratio, order, offset):
     assert seed == max(1, offset) or (2 * seed - 1) ** (order + 1) < ratio
 
 
+def _root_cases():
+    rng = random.Random(23)
+    exponents = (1, 2, 3, 5, 9, 17, 65, 129, 257)
+    for k in exponents:
+        for bits in (1, 2, 8, 64, 300, 1000, 4000):
+            for _ in range(4):
+                yield rng.getrandbits(bits) + 1, k
+        for root in (2, 3, 10, 2**20 + 1, 3**50):
+            for x in (root**k - 1, root**k, root**k + 1):
+                yield x, k
+
+
+def test_kth_root_ceil_is_the_least_root():
+    for x, k in _root_cases():
+        r = evaluator._kth_root_ceil(x, k)
+        assert r >= 1 and r**k >= x, (x, k)
+        assert r == 1 or (r - 1) ** k < x, (x, k)
+
+
+def reference_evaluate_at(index, offset, bits, order, seed):
+    """``_evaluate_at`` as it was before the upper chain was negated: a
+    ceiling division for each upper endpoint, each level's power taken at
+    every step."""
+    wp = bits + _GUARD_BITS
+    one = 1 << wp
+    los, his = [one], [one]
+    for i in range(1, len(index) + 1):
+        lo, hi = evaluate_expansion(prefix_expansion(index[:i], order), order, seed, wp)
+        los.append(max(0, lo))
+        his.append(hi)
+    for j in range(seed - 1, offset - 1, -1):
+        odd = 2 * j + 1
+        for i in range(len(index), 0, -1):
+            p = odd ** index[i - 1]
+            los[i] += los[i - 1] // p
+            his[i] += -((-his[i - 1]) // p)
+    return Enclosure.from_fraction_pair(Fraction(los[-1], one), Fraction(his[-1], one), wp)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_recurrence_matches_the_ceiling_loop(depth):
+    for index in itertools.product(range(1, 5), repeat=depth):
+        if index[0] < 2:
+            continue
+        for offset in (0, 1, 2):
+            args = (index, offset, 64, 8, offset + 30)
+            got = evaluator._evaluate_at(*args)
+            want = reference_evaluate_at(*args)
+            assert (got.lo_fraction, got.hi_fraction, got.precision_bits) == (
+                want.lo_fraction, want.hi_fraction, want.precision_bits
+            ), args
+
+
 def test_depth_four_at_width_1e_100():
     fine = enclosure_of([2, 1, 1, 1], width=Fraction(1, 10**100))
     assert fine.width() <= Fraction(1, 10**100)
@@ -721,10 +777,72 @@ def test_fast_path_enclosures_are_frozen():
 
 # --- the integer kernels against their Fraction references -----------------
 
+@functools.lru_cache(maxsize=None)
+def reference_bernoulli(n):
+    """``B_n`` by the ``Fraction`` recurrence ``sum_j C(n+1, j) B_j = 0``,
+    as it was built before the tangent numbers."""
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2 == 1:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * reference_bernoulli(j) for j in range(n)) / (n + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_base_expansion(k, order):
+    """The depth-one expansion as ``(coefficients, bound)`` in ``Fraction``
+    arithmetic, built from Bernoulli numbers as it was before the tangent
+    numbers: Euler--Maclaurin terms ``2**(2r-1) B_2r (k)_(2r-1) / (2r)!``
+    up to the order, the first omitted one and the leading terms beyond
+    the order rescaled by ``w <= 1/3`` into the bound."""
+    coeffs = {}
+    if k - 1 <= order:
+        coeffs[k - 1] = Fraction(1, 2 * (k - 1))
+    if k <= order:
+        coeffs[k] = Fraction(1, 2)
+    r = 1
+    while True:
+        rising = math.prod(range(k, k + 2 * r - 1))
+        c = Fraction(2 ** (2 * r - 1)) * reference_bernoulli(2 * r) * rising / math.factorial(2 * r)
+        if k + 2 * r - 1 > order:
+            break
+        coeffs[k + 2 * r - 1] = c
+        r += 1
+    bound = abs(c) / 3 ** (k + 2 * r - 1 - (order + 1))
+    if k - 1 > order:
+        bound += Fraction(1, 2 * (k - 1)) / 3 ** (k - 1 - (order + 1))
+    if k > order:
+        bound += Fraction(1, 2) / 3 ** (k - (order + 1))
+    return tuple(sorted(coeffs.items())), bound
+
+
+def test_bernoulli_numbers_match_the_recurrence():
+    assert [numerics.bernoulli_fraction(n) for n in range(261)] == [
+        reference_bernoulli(n) for n in range(261)
+    ]
+
+
+BASE_ORDERS = (1, 2, 3) + evaluator._ORDER_SCHEDULE
+
+
+@pytest.mark.parametrize("order", BASE_ORDERS)
+def test_base_expansion_matches_the_bernoulli_build(order):
+    numerics.base_expansion.cache_clear()
+    numerics._tangent_numbers.cache_clear()
+    for k in range(2, 41):
+        view = base_expansion(k, order)
+        want = reference_base_expansion(k, order)
+        assert as_fractions(view) == want
+        # reduced: equal expansions have equal views
+        assert view == as_view(*want)
+
+
 def reference_step_expansion(coeffs, bound, s, order):
     """The expansion step in ``Fraction`` arithmetic, as it was before the
     integer build: the partial-fraction split per input coefficient, then
-    one ``base_expansion(i)`` per pole order ``i``."""
+    one ``reference_base_expansion(i)`` per pole order ``i``."""
 
     def partial_fraction(s, q):
         alpha = {
@@ -762,7 +880,7 @@ def reference_step_expansion(coeffs, bound, s, order):
             weight[i] = weight.get(i, Fraction(0)) + dc
             mass[i] = mass.get(i, Fraction(0)) + abs(dc)
     for i, e in weight.items():
-        base_coeffs, base_bound = base_expansion(i, order)
+        base_coeffs, base_bound = reference_base_expansion(i, order)
         for p, v in base_coeffs:
             new[p] = new.get(p, Fraction(0)) + e * v
         new_bound += mass[i] * base_bound
@@ -771,7 +889,7 @@ def reference_step_expansion(coeffs, bound, s, order):
 
 def _step_inputs():
     # (inner index, order, s): exponents s beyond order + 1 take the far
-    # branch, and base_expansion(12, 8) has no coefficients at all
+    # branch, and the expansion of (12,) at order 8 has no coefficients
     for inner, orders, exponents in [
         ((2,), range(2, 13), (1, 2, 12, 13)),
         ((3, 11), range(2, 13), (1, 2)),
@@ -805,7 +923,7 @@ def test_step_of_an_empty_expansion_scales_the_bound():
     view = prefix_expansion((12,), 8)
     assert view[1] == ()
     got = evaluator._step_expansion(view, 3, 8)
-    assert as_fractions(got) == ((), base_expansion(12, 8)[1] / 6)
+    assert as_fractions(got) == ((), reference_base_expansion(12, 8)[1] / 6)
 
 
 @settings(max_examples=100, deadline=None)

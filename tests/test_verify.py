@@ -6,11 +6,14 @@ pairs are drawn), so identical calls must reproduce identical reports.
 """
 
 import hashlib
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from tvals import order
+from tvals import order, verify
+from tvals.enclosure import Enclosure
 from tvals.indices import parse_value_spec
 from tvals.verify import (
     Finding,
@@ -48,6 +51,35 @@ def test_closed_form_scans_honour_a_tolerance_below_1e_55():
     tolerance = Fraction(1, 10**100)
     for report in (verify_repeated(3, tolerance), verify_sum_formula(4, tolerance)):
         assert report.status is ScanStatus.ALL_PASSED, report.scan_id
+
+
+def test_closed_form_findings_report_widths_below_the_float_range(monkeypatch):
+    # widths near 1e-400 underflow a float; the report must still show them
+    tolerance = Fraction(1, 10**400)
+    pairs = []
+    real = verify._overlap_finding
+
+    def recording(subject, computed, reference, tolerance, detail):
+        pairs.append((computed, reference))
+        return real(subject, computed, reference, tolerance, detail)
+
+    monkeypatch.setattr(verify, "_overlap_finding", recording)
+    report = verify_repeated(n_max=2, tolerance=tolerance)
+    assert len(pairs) == len(report.findings) == 6
+    for finding, (computed, reference) in zip(report.findings, pairs):
+        width = computed.width() + reference.width()
+        printed = Fraction(Decimal(finding.data["combined_width"]))
+        assert abs(printed - width) <= width / 1000, finding.data
+    # a failing finding prints the width and the tolerance in its detail
+    computed, reference = pairs[0]
+    apart = reference + Enclosure.exact_int(1, reference.precision_bits)
+    failing = real("2", computed, apart, tolerance, "shifted")
+    assert failing.verdict == "fail"
+    match = re.search(r"combined width (\S+) vs tolerance (\S+)$", failing.detail)
+    assert match is not None, failing.detail
+    width = computed.width() + apart.width()
+    assert abs(Fraction(Decimal(match.group(1))) - width) <= width / 1000
+    assert match.group(2) == "1.000e-400"
 
 
 def test_catalan_partial_sums_and_frozen_gap():
