@@ -299,16 +299,17 @@ def _format_scaled_decimal(units: int, digits: int) -> str:
     return f"{sign}{whole}.{_zero_padded(frac, digits)}"
 
 
-def _format_sci(x: Fraction) -> str:
-    """``x > 0`` in ``%.3e`` form, also where ``float(x)`` underflows.
+def _format_sci(x: Fraction, digits: int = 3) -> str:
+    """``x > 0`` in ``%.{digits}e`` form, also where ``float(x)`` underflows.
 
     Where the float is normal this is the float's own text; below that the
-    four significant digits are the exact quotient rounded half-even.
+    ``digits + 1`` significant digits are the exact quotient rounded
+    half-even.
     """
     if x >= Fraction(sys.float_info.min):
-        return f"{float(x):.3e}"
-    quotient = Context(prec=4).divide(Decimal(x.numerator), Decimal(x.denominator))
-    return f"{quotient:.3e}"
+        return f"{float(x):.{digits}e}"
+    quotient = Context(prec=digits + 1).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return f"{quotient:.{digits}e}"
 
 
 def _format_lower(x: Fraction) -> str:

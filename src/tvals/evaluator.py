@@ -216,27 +216,18 @@ def prefix_expansion(prefix: MultiIndex, order: int) -> _View:
 # accelerated evaluation
 # ----------------------------------------------------------------------
 def _kth_root_ceil(x: int, k: int) -> int:
-    """Least positive ``r`` with ``r**k >= x``.
-
-    Integer Newton steps ``((k-1)*r + x // r**(k-1)) // k`` never land
-    below ``f = floor(x**(1/k))`` (AM-GM) and decrease while above it, so
-    from a start at or above ``f`` they stall exactly at ``f``.  The start
-    is a float estimate raised by a margin far above its rounding error and
-    checked by one power (else the power of two above the root), so the
-    float never decides the result.
-    """
+    """Least positive ``r`` with ``r**k >= x``."""
     if x <= 1:
         return 1
-    estimate = math.log2(x) / k + 2.0**-30
-    whole = int(estimate)
-    r = ((int(2 ** (estimate - whole) * (1 << 52)) << whole) >> 52) + 1
-    if r**k < x:
-        r = 1 << -(-x.bit_length() // k)
-    while True:
-        step = ((k - 1) * r + x // r ** (k - 1)) // k
-        if step >= r:
-            return r if r**k >= x else r + 1
-        r = step
+    # integer-only bisection; float pow overflows for very large x
+    lo, hi = 1, 1 << -(-x.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k >= x:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 _ORDER_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
@@ -332,8 +323,7 @@ def _evaluate_at(
     step is one floor division for the lower endpoint and one ceiling
     division for the upper, each off by less than one unit in the
     direction that keeps the enclosure.  The upper chain is kept negated,
-    ``floor(-h/p) == -ceil(h/p)``, so both are one floor division each, by
-    ``odd`` itself where the exponent is 1.
+    ``floor(-h/p) == -ceil(h/p)``, so both are one floor division each.
     """
     wp = bits + _GUARD_BITS
     one = 1 << wp
@@ -350,7 +340,7 @@ def _evaluate_at(
     for j in range(seed - 1, offset - 1, -1):
         odd = 2 * j + 1
         for i, k in levels:
-            p = odd if k == 1 else odd**k
+            p = odd**k
             los[i] += los[i - 1] // p
             negs[i] += negs[i - 1] // p
     return Enclosure.from_fraction_pair(

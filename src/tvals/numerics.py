@@ -116,9 +116,7 @@ def bernoulli_fraction(n: int) -> Fraction:
         return Fraction(0)
     half = n // 2
     four = 4**half
-    # lengths rounded up to a power of two, so that a table of B_n shares
-    # a few triangles
-    tangent = _tangent_numbers(1 << (half - 1).bit_length())[half - 1]
+    tangent = _tangent_numbers(half)[-1]
     return Fraction((-1) ** (half - 1) * n * tangent, four * (four - 1))
 
 

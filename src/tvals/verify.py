@@ -167,7 +167,7 @@ def _overlap_finding(
         data={
             "computed": _enc_json(computed),
             "reference": _enc_json(reference),
-            "combined_width": _format_sci(width),
+            "combined_width": _format_sci(width, 6),
         },
     )
 

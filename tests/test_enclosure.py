@@ -142,15 +142,16 @@ def test_decimal_strings_beyond_the_int_str_limit():
 @given(
     st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
     st.integers(min_value=0, max_value=4000),
+    st.sampled_from((3, 6)),
 )
-def test_format_sci_matches_float_text_and_survives_underflow(q, shift):
+def test_format_sci_matches_float_text_and_survives_underflow(q, shift, digits):
     x = q / 2**shift
-    text = _format_sci(x)
+    text = _format_sci(x, digits)
     if x >= Fraction(sys.float_info.min):
-        assert text == f"{float(x):.3e}"
+        assert text == f"{float(x):.{digits}e}"
     mantissa, _, exponent = text.partition("e")
-    assert len(mantissa) == 5 and 1 <= Decimal(mantissa) < 10
-    half_unit = Fraction(5, 10**4) * Fraction(10) ** int(exponent)
+    assert len(mantissa) == digits + 2 and 1 <= Decimal(mantissa) < 10
+    half_unit = Fraction(5, 10 ** (digits + 1)) * Fraction(10) ** int(exponent)
     assert abs(Fraction(Decimal(text)) - x) <= half_unit
 
 

@@ -69,7 +69,8 @@ def test_closed_form_findings_report_widths_below_the_float_range(monkeypatch):
     for finding, (computed, reference) in zip(report.findings, pairs):
         width = computed.width() + reference.width()
         printed = Fraction(Decimal(finding.data["combined_width"]))
-        assert abs(printed - width) <= width / 1000, finding.data
+        # seven significant digits, as in the float range
+        assert abs(printed - width) <= width / 10**6, finding.data
     # a failing finding prints the width and the tolerance in its detail
     computed, reference = pairs[0]
     apart = reference + Enclosure.exact_int(1, reference.precision_bits)
@@ -80,6 +81,14 @@ def test_closed_form_findings_report_widths_below_the_float_range(monkeypatch):
     width = computed.width() + apart.width()
     assert abs(Fraction(Decimal(match.group(1))) - width) <= width / 1000
     assert match.group(2) == "1.000e-400"
+
+
+def test_combined_widths_in_the_float_range_keep_seven_digits():
+    report = verify_repeated(n_max=2)
+    assert [f.data["combined_width"] for f in report.findings] == [
+        "1.002643e-22", "1.667867e-23", "1.017625e-22",
+        "1.481576e-23", "1.023674e-22", "1.210606e-23",
+    ]
 
 
 def test_catalan_partial_sums_and_frozen_gap():
