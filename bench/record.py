@@ -14,10 +14,11 @@ Rows, each for one source tree (its ``src/`` is put on the path):
 
 * ``cold``: the fixed grid below (a calibration loop, the evaluator
   layers, the order queries ``phi`` and ``beta_table``, and the pairing
-  scans up to weight 7 and 9), each timed in a fresh Python process (every
-  ``lru_cache`` empty),
+  scans up to weight 7, 9 and 10), each timed in a fresh Python process
+  (every ``lru_cache`` empty),
   ``REPEAT`` times, with ``mpmath`` blocked so that a tree which still
-  needs it fails here; and the wall time of a whole ``python -m tvals.cli``
+  needs it fails here, each run with the process's peak RSS; and the wall
+  time of a whole ``python -m tvals.cli``
   process, from spawn to exit: ``tv eval`` on a cache miss and on a cache
   hit, and ``tv phi``.  Each tree's ``src/`` is compiled (``python -m compileall``)
   before the first row, so that stale bytecode is not timed as the tree's
@@ -67,6 +68,7 @@ COLD_GRID = (
     ("beta_table", 12),
     ("check_phi_conjecture", 8),
     ("check_phi_conjecture", 10),
+    ("check_phi_conjecture", 11),
     ("tv_eval", 0),
     ("tv_eval", 1),
     ("tv_phi", 0),
@@ -91,7 +93,7 @@ TV_COMMANDS = {
 # the index unused) or check_phi_conjecture (argument: total_max t, with
 # weight_max = n_max = t - 1, the index unused)
 _CHILD = """
-import json, sys, time
+import json, resource, sys, time
 sys.modules["mpmath"] = None
 from fractions import Fraction
 import tvals
@@ -118,12 +120,15 @@ elif kind == "check_phi_conjecture":
 else:
     evaluate_spec(ValueSpec(index, 0), Fraction(1, 10**arg))
 seconds = time.perf_counter() - start
-print(json.dumps({"seconds": seconds, "python": sys.version.split()[0], "tvals": tvals.__version__}))
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(json.dumps({"seconds": seconds, "peak_rss_mb": peak_rss_mb,
+                  "python": sys.version.split()[0], "tvals": tvals.__version__}))
 """
 
 
 def time_cold(tree: Path, kind: str, index: tuple, arg: int) -> dict:
-    """One cold timing in a fresh process; returns seconds and the stamp."""
+    """One cold timing in a fresh process; returns seconds, the process's
+    peak RSS and the stamp."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, kind, json.dumps(index), str(arg)],
@@ -193,13 +198,17 @@ def cold_rows(trees: list[Path]) -> list[list[dict]]:
                     runs[number].append(time_cold(tree, kind, INDEX, arg))
         for number, tree_runs in enumerate(runs):
             seconds = [run["seconds"] for run in tree_runs]
-            rows[number].append({
+            row = {
                 "kind": "cold",
                 "name": _name(kind, arg),
                 "median_s": statistics.median(seconds),
                 "runs_s": seconds,
                 "stamp": {"python": tree_runs[0]["python"], "tvals": tree_runs[0]["tvals"]},
-            })
+            }
+            if "peak_rss_mb" in tree_runs[0]:  # not measured for ``tv`` processes
+                rss = [run["peak_rss_mb"] for run in tree_runs]
+                row.update(median_rss_mb=statistics.median(rss), runs_rss_mb=rss)
+            rows[number].append(row)
     return rows
 
 

@@ -62,7 +62,9 @@ def test_traced_rows_take_per_layer_medians_of_traced_runs(tmp_path):
 def test_cold_row_runs_in_a_fresh_process_without_mpmath():
     got = record.time_cold(ROOT, "prefix_expansion", (2, 1), 8)
     assert got["seconds"] > 0
-    assert set(got) == {"seconds", "python", "tvals"}
+    assert set(got) == {"seconds", "peak_rss_mb", "python", "tvals"}
+    # a whole interpreter with tvals imported, read in MiB, not KiB
+    assert 1 < got["peak_rss_mb"] < 1000
 
 
 def test_cold_grid_starts_with_a_calibration_loop():
@@ -82,17 +84,19 @@ def test_cold_grid_times_the_direct_oracle():
     )
     got = record.time_cold(ROOT, "evaluate_direct_many", (2, 1), 3)
     assert got["seconds"] > 0
-    assert set(got) == {"seconds", "python", "tvals"}
+    assert set(got) == {"seconds", "peak_rss_mb", "python", "tvals"}
 
 
 def test_cold_grid_times_the_order_queries():
     assert {
-        ("phi", 0), ("beta_table", 12), ("check_phi_conjecture", 8), ("check_phi_conjecture", 10)
+        ("phi", 0), ("beta_table", 12), ("check_phi_conjecture", 8),
+        ("check_phi_conjecture", 10), ("check_phi_conjecture", 11),
     } <= set(record.COLD_GRID)
     assert record._name("phi", 0) == "phi((2, 1, 1, 1))"
     assert record._name("beta_table", 12) == "beta_table(12)"
     assert record._name("check_phi_conjecture", 8) == "check_phi_conjecture(7, 7, total_max=8)"
     assert record._name("check_phi_conjecture", 10) == "check_phi_conjecture(9, 9, total_max=10)"
+    assert record._name("check_phi_conjecture", 11) == "check_phi_conjecture(10, 10, total_max=11)"
     for kind, arg in (("phi", 0), ("beta_table", 3), ("check_phi_conjecture", 4)):
         got = record.time_cold(ROOT, kind, (2, 1), arg)
         assert got["seconds"] > 0
@@ -126,13 +130,17 @@ def test_cold_grid_times_t2111_at_1e_20():
 
 def _fake_timers(monkeypatch, calls):
     """Replace both timers by ones that log ``(tree, kind)`` and take a
-    second per character of the tree's name; compiling a tree does nothing."""
+    second per character of the tree's name; a cold child also peaks at ten
+    MiB per character.  Compiling a tree does nothing."""
 
     def timed(tree, kind):
         calls.append((tree.name, kind))
         return {"seconds": float(len(tree.name)), "python": "3.x", "tvals": tree.name}
 
-    monkeypatch.setattr(record, "time_cold", lambda tree, kind, index, arg: timed(tree, kind))
+    def cold(tree, kind, index, arg):
+        return dict(timed(tree, kind), peak_rss_mb=10.0 * len(tree.name))
+
+    monkeypatch.setattr(record, "time_cold", cold)
     monkeypatch.setattr(record, "time_tv", lambda tree, kind, hit=0: timed(tree, kind))
     monkeypatch.setattr(record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(record, "COLD_GRID", (("prefix_expansion", 8), ("tv_eval", 0)))
@@ -148,6 +156,8 @@ def test_cold_rows_time_each_row_on_every_tree_in_turn(tmp_path, monkeypatch):
     assert calls == [(t, "prefix_expansion") for t in turns] + [(t, "tv_eval") for t in turns]
     assert [row["median_s"] for row in rows_a] == [1.0, 1.0]
     assert [row["runs_s"] for row in rows_b] == [[2.0] * 3] * 2
+    assert (rows_b[0]["median_rss_mb"], rows_b[0]["runs_rss_mb"]) == (20.0, [20.0] * 3)
+    assert "median_rss_mb" not in rows_b[1]  # a tv process reports no RSS
     assert rows_b[1]["name"].startswith("tv eval") and rows_b[1]["stamp"]["tvals"] == "bb"
 
 

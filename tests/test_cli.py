@@ -13,7 +13,7 @@ from tvals.enclosure import Enclosure
 from tvals.errors import BudgetExceededError, UnresolvedComparisonError
 from tvals.evaluator import evaluate_spec
 from tvals.indices import ValueSpec, parse_index
-from tvals.numerics import const_pi
+from tvals.numerics import PrecisionBudget, const_pi
 from tvals.order import compare
 from tvals.verify import verify_chain
 
@@ -357,6 +357,15 @@ def test_compare_prints_a_separation_below_the_float_range(capsys):
     printed = _printed_separation(out)
     assert 0 < printed <= compare(left, right).separation
     assert "separation >= 2.499999e-341" in out
+
+
+def test_compare_stdout_is_pinned_after_coarse_decisions(capsys):
+    # the line the one-tier ladder printed; a coarse decision on the same
+    # pair first leaves its 2^-16 enclosures in the order layer's memo
+    order._decide(ValueSpec((2, 1, 1, 1)), ValueSpec((3,), 1), PrecisionBudget())
+    code, out, _ = run(capsys, "compare", "--a", "2,1,1,1", "--b", "tail:1:3")
+    assert code == OK
+    assert out == "2,1,1,1 vs tail:1:3: Greater  separation >= 1.390854e-02  (96 bits)\n"
 
 
 def test_compare_less_with_tail_operand(capsys):

@@ -21,6 +21,7 @@ from tvals.order import (
     phi,
     rank_of_tail,
 )
+from tvals.verify import check_phi_conjecture
 
 # frozen 21-digit truncations of the first ordered tail values
 BETA_DECIMALS = {
@@ -460,3 +461,96 @@ def test_unresolved_tail_threshold_steps_down_the_grid(monkeypatch):
     floor, specs = order._TAIL_LISTS[PrecisionBudget()]
     assert floor == Fraction(63, 128) / 2**4
     assert_certified_decreasing(specs)
+
+
+# --- the two tiers of a decision --------------------------------------------
+
+def _side(enclose, left, right):
+    """+1 or -1 when the enclosure of ``left`` lies certifiably above or
+    below that of ``right`` (a spec) or ``right`` itself (a rational), else 0."""
+    a = enclose(left)
+    if isinstance(right, Fraction):
+        return a.cmp_scalar(right)
+    b = enclose(right)
+    return 1 if a.certified_gt(b) else -1 if a.certified_lt(b) else 0
+
+
+def _evaluated(spec, width, budget):
+    """An enclosure from the evaluator, a budget-capped partial included,
+    past the order layer's memo."""
+    try:
+        return evaluate(EvalRequest(spec, width, budget))
+    except BudgetExceededError as exc:
+        return exc.partial
+
+
+def reference_decide(left, right, budget):
+    """The one-tier ladder: every width of ``compare`` from 2**-48 on, each
+    enclosure from the evaluator, so no coarse enclosure is ever consulted."""
+    if left == right:
+        return Verdict.UNRESOLVED
+    for width in order._refinement_widths(budget):
+        side = _side(lambda spec: _evaluated(spec, width, budget), left, right)
+        if side:
+            return Verdict.GREATER if side > 0 else Verdict.LESS
+    return Verdict.UNRESOLVED
+
+
+def test_coarse_verdicts_match_the_one_tier_ladder(monkeypatch):
+    for store in ("_ENCLOSURES", "_TAIL_LISTS", "_BAND_LISTS"):
+        monkeypatch.setattr(order, store, {})
+    true_decide = order._decide
+    decided = []
+
+    def decide(left, right, budget):
+        verdict = Verdict.UNRESOLVED  # unless it returns
+        try:
+            verdict = true_decide(left, right, budget)
+            return verdict
+        finally:
+            decided.append((left, right, budget, verdict))
+
+    monkeypatch.setattr(order, "_decide", decide)
+    beta_table(24)
+    check_phi_conjecture(7, 7, total_max=8)
+    settled = sum(
+        _side(lambda spec: order._enclose(spec, order._COARSE_WIDTH, budget), left, right) != 0
+        for left, right, budget, _ in decided
+    )
+    # both tiers ran: most decisions settle coarse, some climb the ladder
+    assert len(decided) > 1000 and 0 < len(decided) - settled < settled
+    mismatches = [
+        (left, right, verdict)
+        for left, right, budget, verdict in decided
+        if verdict is not reference_decide(left, right, budget)
+    ]
+    assert mismatches == []
+
+
+# compare outcomes as the one-tier ladder gave them: (left, right, verdict,
+# exact separation, bits used); the last pair needs the second rung
+COMPARE_PINS = [
+    (((2,), 0), ((3,), 0), Verdict.GREATER,
+     Fraction(7205831482284665234821911055, 2**95), 96),
+    (((2, 1), 0), ((2,), 1), Verdict.GREATER,
+     Fraction(3784555524988320596460429949, 2**95), 96),
+    (((2, 1, 1, 1), 0), ((3,), 1), Verdict.GREATER,
+     Fraction(1101948727712375661695195577, 2**96), 96),
+    (((4,), 1), ((2, 1, 1), 1), Verdict.LESS,
+     Fraction(2345044560257949739223342867, 2**96), 96),
+    (((2, 1), 0), ((), 1), Verdict.LESS,
+     Fraction(3321461643651639270477731935, 2**92), 96),
+    (((3, 1, 1), 0), ((2, 2, 1), 0), Verdict.LESS,
+     Fraction(563034755255779625754790215, 2**95), 96),
+    (((2,), 10**20), ((2,), 10**20 + 1), Verdict.GREATER,
+     Fraction(9134385, 2**158), 160),
+]
+
+
+def test_compare_outcomes_are_pinned_after_coarse_decisions():
+    budget = PrecisionBudget()
+    for (left, left_offset), (right, right_offset), verdict, separation, bits in COMPARE_PINS:
+        a, b = ValueSpec(left, left_offset), ValueSpec(right, right_offset)
+        order._decide(a, b, budget)  # leaves coarse enclosures of both in the memo
+        got = compare(a, b)
+        assert (got.verdict, got.separation, got.bits_used) == (verdict, separation, bits), (a, b)
