@@ -17,7 +17,9 @@ Rows, each for one source tree (its ``src/`` is put on the path):
   scans up to weight 7, 9 and 10), each timed in a fresh Python process
   (every ``lru_cache`` empty),
   ``REPEAT`` times, with ``mpmath`` blocked so that a tree which still
-  needs it fails here, each run with the process's peak RSS; and the wall
+  needs it fails here, each run with the process's peak RSS; each pairing
+  scan row also gives its number of ``order._decide`` calls, counted in
+  one more fresh process apart from the timed ones; and the wall
   time of a whole ``python -m tvals.cli``
   process, from spawn to exit: ``tv eval`` on a cache miss and on a cache
   hit, and ``tv phi``.  Each tree's ``src/`` is compiled (``python -m compileall``)
@@ -126,15 +128,49 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": peak_rss_mb,
 """
 
 
+# runs in the child of ``count_decisions``: the pairing scan of the cold row
+# ``check_phi_conjecture`` (argument: total_max t) with ``order._decide``
+# wrapped in a counter, so that no timed run pays for the counting
+_COUNT_CHILD = """
+import json, sys
+sys.modules["mpmath"] = None
+from tvals import order
+from tvals.verify import check_phi_conjecture
+arg = int(sys.argv[1])
+calls = 0
+decide = order._decide
+def counted(left, right, budget):
+    global calls
+    calls += 1
+    return decide(left, right, budget)
+order._decide = counted
+check_phi_conjecture(arg - 1, arg - 1, total_max=arg)
+print(json.dumps({"decide_calls": calls}))
+"""
+
+
+def _child_env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+
+
 def time_cold(tree: Path, kind: str, index: tuple, arg: int) -> dict:
     """One cold timing in a fresh process; returns seconds, the process's
     peak RSS and the stamp."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, kind, json.dumps(index), str(arg)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_child_env(tree), capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def count_decisions(tree: Path, arg: int) -> int:
+    """The ``order._decide`` calls of the cold pairing scan row with
+    total_max ``arg``, run once more in a fresh process of its own."""
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_CHILD, str(arg)],
+        env=_child_env(tree), capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])["decide_calls"]
 
 
 def time_tv(tree: Path, kind: str, hit: int = 0) -> dict:
@@ -143,8 +179,7 @@ def time_tv(tree: Path, kind: str, hit: int = 0) -> dict:
     must hit (1); returns seconds and the stamp."""
     command = [sys.executable, "-m", "tvals.cli", *TV_COMMANDS[kind]]
     with tempfile.TemporaryDirectory() as tmp:
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
-                   TV_CACHE=str(Path(tmp) / "enclosures.jsonl"))
+        env = dict(_child_env(tree), TV_CACHE=str(Path(tmp) / "enclosures.jsonl"))
         if hit:
             subprocess.run(command, env=env, capture_output=True, check=True)
         start = time.perf_counter()
@@ -208,6 +243,8 @@ def cold_rows(trees: list[Path]) -> list[list[dict]]:
             if "peak_rss_mb" in tree_runs[0]:  # not measured for ``tv`` processes
                 rss = [run["peak_rss_mb"] for run in tree_runs]
                 row.update(median_rss_mb=statistics.median(rss), runs_rss_mb=rss)
+            if kind == "check_phi_conjecture":
+                row["decide_calls"] = count_decisions(trees[number], arg)
             rows[number].append(row)
     return rows
 

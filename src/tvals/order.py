@@ -18,15 +18,18 @@ its entries cut the full values into bands.  This module provides:
 
 Each order fact is certified once per budget.  One list holds the tails,
 and one per band its members, in certified decreasing order, each complete
-above the lowest threshold walked so far.  A walk is a complete
+above the lowest threshold walked so far.  A tail walk is a complete
 branch-and-bound: depth is cut off by comparing the threshold with the
 certified remaining mass of the per-depth maxima, whose total is known in
 closed form via Catalan's constant, and exponent growth by componentwise
-monotonicity.  A band walk cuts a family whose limit, a tail, is listed
-above the band, with no decision.  :func:`enumerate_tails_above` and
-:func:`beta_table` read the head of the tail list, and ranks and bands
-count the tails above a value by bisecting into it; :func:`band_prefix`
-reads the head of a band's list, and :func:`phi` a position in it.
+monotonicity.  A band walk reads its families off the tail list: each
+family decreases to its limit, a tail, from a first member at most 3/2
+times that limit (a proved bound), so band ``r`` down to ``alpha`` draws
+only on the tails from the ``r``-th down to ``(2/3) * alpha``.
+:func:`enumerate_tails_above` and :func:`beta_table` read the head of the
+tail list, and ranks and bands count the tails above a value by bisecting
+into it; :func:`band_prefix` reads the head of a band's list, and
+:func:`phi` a position in it.
 Every decision of a walk or a bisection reads both sides at ``2**-16``
 first and climbs the refinement ladder from ``2**-48`` only when those
 enclosures overlap; :func:`compare` and every displayed or sorted
@@ -37,6 +40,7 @@ budget).  All these stores live for the whole process.
 from __future__ import annotations
 
 import enum
+import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -257,11 +261,10 @@ def _depth_cap(threshold: Fraction, offset: int, budget: PrecisionBudget) -> int
     Any lower bounds on the mass terms give a sound cap; a wider enclosure
     can only make it larger.  The terms are read at one of two fixed widths,
     so they are shared across thresholds.  When ``threshold >= 2**-32`` that
-    is the first refinement width: the terms are then the enclosures the
-    enumeration asks for its first padded candidate at each depth, and the
-    slack of at most ``64 * 2**-48 <= threshold / 2**10`` adds at most one
-    depth, whose first candidate is decided below the threshold.  Below
-    that it is ``2**-80``."""
+    is the first refinement width, and the slack of at most
+    ``64 * 2**-48 <= threshold / 2**10`` adds at most one depth, whose first
+    candidate is decided below the threshold.  Below that it is
+    ``2**-80``."""
     total_hi = _mass_total(offset).hi_fraction
     mass_width = _FIRST_WIDTH if threshold >= Fraction(1, 2**32) else Fraction(1, 2**80)
     acc_lo = Fraction(0)
@@ -461,28 +464,54 @@ def _band_down_to(
     """The certified list of band ``band``, complete above ``alpha``;
     ``tails`` is the certified tail list, holding at least ``band`` tails.
 
-    Families sharing all but the final exponent decrease toward the tail of
-    their shared prefix.  The tail list is complete above a floor below the
-    band top, so a limit at or above the top is one of the first ``band - 1``
-    tails, and the walk cuts its family with no decision.  In every other
-    family, members are decided against the top until one lies below it."""
-    above_band = set(tails[: band - 1])
+    Each full value ``p + (n,)`` lies in the family of ``p``, which decreases
+    in ``n`` to its limit, the tail ``t(p)_1``.  A member of band ``r`` lies
+    at or below the band top ``β_(r-1)``, so its family's limit lies below
+    the top: it is the ``r``-th tail or a later one.  No member exceeds 3/2
+    of its family's limit (proved below), so a member above ``alpha`` has a
+    limit above ``(2/3) * alpha``.  The walk therefore extends the tail list
+    to ``(2/3) * alpha`` and reads the band's families off it, from the
+    ``r``-th tail to the last one above that bound.  Along each family it
+    walks ``n`` upward until a member is decided below ``alpha``, and decides
+    members against the top until one lies below it.
+
+    The bound is ``t(p + (1,)) <= (3/2) * t(p)_1`` for every nonempty
+    admissible ``p``; larger ``n`` only lower a member, and for the empty
+    prefix ``t((2,)) = π²/8 < 3/2``.  Appending ``n`` adds one summation
+    variable, so ``t(p + (n,)) = sum_{m>=1} (2m-1)**-n * t(p)_m``.
+
+    Lemma: for ``p = q + (k,)``, ``(2m+1) * t(p)_m`` does not increase in
+    ``m >= 1``.  Since ``t(p)_m - t(p)_(m+1) = (2m+1)**-k * t(q)_(m+1)``,
+    this says ``2 * t(p)_(m+1) <= (2m+1)**(1-k) * t(q)_(m+1)``, where
+    ``t(p)_(m+1) = sum_{j>=m+2} (2j-1)**-k * t(q)_j``.
+
+    * ``k >= 2``: ``t(q)_j`` does not increase in ``j``, and by convexity
+      ``sum_{j>=m+2} (2j-1)**-k <= (2m+2)**(1-k) / (2(k-1)) <= (2m+1)**(1-k) / 2``.
+    * ``k = 1``: ``q`` is nonempty admissible, so the lemma for ``q`` (by
+      induction on depth) gives ``t(q)_j <= (2m+3) * t(q)_(m+1) / (2j+1)``
+      for ``j >= m+1``.  The telescoping sum
+      ``sum_{j>=m+2} 1/((2j-1)(2j+1)) = 1/(2(2m+3))`` then gives
+      ``t(p)_(m+1) <= t(q)_(m+1) / 2``.
+
+    So ``t(p)_m <= 3 * t(p)_1 / (2m+1)``, and
+    ``t(p + (1,)) <= 3 * t(p)_1 * sum_{m>=1} 1/((2m-1)(2m+1)) = (3/2) * t(p)_1``.
+    """
     top_spec = tails[band - 2] if band > 1 else None
 
     def walk(threshold: Fraction) -> Iterator[ValueSpec]:
-        # depth-1 values exceed 1 and live in band 1
-        for d in range(1 if band == 1 else 2, _depth_cap(threshold, 0, budget) + 1):
-            for partial in _prefixes_above(d, d - 1, 0, threshold, budget):
-                if ValueSpec(partial, 1) in above_band:
-                    continue  # the whole family sits above the band
-                below_top = top_spec is None
-                for candidate in _prefixes_above(d, d, 0, threshold, budget, partial):
-                    spec = ValueSpec(candidate, 0)
-                    # values decrease along the family, so once one drops
-                    # below the band top the rest need no further comparison
-                    below_top = below_top or _decide(spec, top_spec, budget) is Verdict.LESS
-                    if below_top:
-                        yield spec
+        limit_floor = 2 * threshold / 3
+        listed = _tails_down_to(_quantize_down(limit_floor), budget)
+        for prefix in listed[band - 1 : _count_above(listed, limit_floor, budget)]:
+            below_top = top_spec is None
+            for n in itertools.count(1 if prefix.index else 2):
+                spec = ValueSpec(prefix.index + (n,), 0)
+                if _decide(spec, threshold, budget) is Verdict.LESS:
+                    break
+                # values decrease along the family, so once one drops
+                # below the band top the rest need no further comparison
+                below_top = below_top or _decide(spec, top_spec, budget) is Verdict.LESS
+                if below_top:
+                    yield spec
 
     return _listed_down_to(_BAND_LISTS, (band, budget), alpha, budget, walk)
 

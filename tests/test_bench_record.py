@@ -102,6 +102,14 @@ def test_cold_grid_times_the_order_queries():
         assert got["seconds"] > 0
 
 
+def test_pairing_scan_decisions_are_counted_apart_from_the_timed_runs():
+    # the same scan in two fresh processes makes the same decisions
+    calls = record.count_decisions(ROOT, 4)
+    assert calls > 0 and record.count_decisions(ROOT, 4) == calls
+    # a timed run reports no count
+    assert "decide_calls" not in record.time_cold(ROOT, "check_phi_conjecture", (2, 1), 4)
+
+
 def test_cold_grid_times_tv_eval_processes():
     assert {("tv_eval", 0), ("tv_eval", 1)} <= set(record.COLD_GRID)
     assert record._name("tv_eval", 0) == (
@@ -131,7 +139,8 @@ def test_cold_grid_times_t2111_at_1e_20():
 def _fake_timers(monkeypatch, calls):
     """Replace both timers by ones that log ``(tree, kind)`` and take a
     second per character of the tree's name; a cold child also peaks at ten
-    MiB per character.  Compiling a tree does nothing."""
+    MiB per character, and a pairing scan makes a thousand decisions per
+    character plus its argument.  Compiling a tree does nothing."""
 
     def timed(tree, kind):
         calls.append((tree.name, kind))
@@ -143,6 +152,7 @@ def _fake_timers(monkeypatch, calls):
     monkeypatch.setattr(record, "time_cold", cold)
     monkeypatch.setattr(record, "time_tv", lambda tree, kind, hit=0: timed(tree, kind))
     monkeypatch.setattr(record, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(record, "count_decisions", lambda tree, arg: 1000 * len(tree.name) + arg)
     monkeypatch.setattr(record, "COLD_GRID", (("prefix_expansion", 8), ("tv_eval", 0)))
     monkeypatch.setattr(record, "REPEAT", 3)
 
@@ -159,6 +169,16 @@ def test_cold_rows_time_each_row_on_every_tree_in_turn(tmp_path, monkeypatch):
     assert (rows_b[0]["median_rss_mb"], rows_b[0]["runs_rss_mb"]) == (20.0, [20.0] * 3)
     assert "median_rss_mb" not in rows_b[1]  # a tv process reports no RSS
     assert rows_b[1]["name"].startswith("tv eval") and rows_b[1]["stamp"]["tvals"] == "bb"
+
+
+def test_cold_pairing_scan_rows_count_the_decisions_of_their_tree(tmp_path, monkeypatch):
+    calls = []
+    _fake_timers(monkeypatch, calls)
+    monkeypatch.setattr(record, "COLD_GRID", (("check_phi_conjecture", 8), ("phi", 0)))
+    rows_a, rows_b = record.cold_rows([tmp_path / "a", tmp_path / "bb"])
+    assert (rows_a[0]["decide_calls"], rows_b[0]["decide_calls"]) == (1008, 2008)
+    assert rows_a[0]["runs_s"] == [1.0] * 3  # the counting run is not timed
+    assert "decide_calls" not in rows_a[1]
 
 
 def test_cold_rows_compile_each_tree_before_timing_it(tmp_path, monkeypatch):

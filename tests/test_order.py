@@ -554,3 +554,88 @@ def test_compare_outcomes_are_pinned_after_coarse_decisions():
         order._decide(a, b, budget)  # leaves coarse enclosures of both in the memo
         got = compare(a, b)
         assert (got.verdict, got.separation, got.bits_used) == (verdict, separation, bits), (a, b)
+
+
+# --- band walks read their families off the tail list -----------------------
+
+def test_a_family_starts_within_three_halves_of_its_limit():
+    # the bound that lets a band walk read its families off the tail list
+    budget, width = PrecisionBudget(), Fraction(1, 2**48)
+    ratios = {}
+    for prefix in enumerate_admissible_up_to(8):
+        first = order._enclose(ValueSpec(prefix + (1,), 0), width, budget)
+        limit = order._enclose(ValueSpec(prefix, 1), width, budget)
+        assert 2 * first.hi_fraction < 3 * limit.lo_fraction, prefix
+        ratios[prefix] = first.lo_fraction / limit.hi_fraction
+    # the empty prefix, whose limit is 1: t((2,)) = pi^2/8 < 3/2
+    assert 2 * order._enclose(ValueSpec((2,), 0), width, budget).hi_fraction < 3
+    # close to tight: a smaller constant would not hold
+    assert max(ratios, key=ratios.get) == (2, 1, 1, 1, 1, 1, 1)
+    assert max(ratios.values()) > Fraction(1499, 1000)
+
+
+def reference_band_walk(band, tails, budget):
+    """The band walk by a branch-and-bound of its own over every full-value
+    prefix, as ``order._band_down_to`` ran it before it read its families
+    off the tail list: a family whose limit is listed above the band is cut
+    by that listing, and depth-1 values live in band 1."""
+    above_band = set(tails[: band - 1])
+    top_spec = tails[band - 2] if band > 1 else None
+
+    def walk(threshold):
+        for d in range(1 if band == 1 else 2, order._depth_cap(threshold, 0, budget) + 1):
+            for partial in order._prefixes_above(d, d - 1, 0, threshold, budget):
+                if ValueSpec(partial, 1) in above_band:
+                    continue
+                below_top = top_spec is None
+                for candidate in order._prefixes_above(d, d, 0, threshold, budget, partial):
+                    spec = ValueSpec(candidate, 0)
+                    below_top = below_top or order._decide(spec, top_spec, budget) is Verdict.LESS
+                    if below_top:
+                        yield spec
+
+    return walk
+
+
+def test_band_lists_match_the_prefix_walk(monkeypatch):
+    budget = PrecisionBudget()
+    built = {}
+    for store in ("_TAIL_LISTS", "_BAND_LISTS"):
+        monkeypatch.setattr(order, store, {})
+    for band in range(1, 25):
+        alphas = _band_alphas(band)
+        for alpha in (alphas[1], alphas[5]):  # the second one extends the list
+            band_prefix(band, alpha)
+    built.update(order._BAND_LISTS)
+    for store in ("_TAIL_LISTS", "_BAND_LISTS"):
+        monkeypatch.setattr(order, store, {})
+    check_phi_conjecture(8, 8, total_max=9)
+    scanned = dict(order._BAND_LISTS)
+    assert len(built) == 24 and len(scanned) > 24
+    for lists in (built, scanned):
+        for (band, budget), (floor, specs) in lists.items():
+            monkeypatch.setattr(order, "_TAIL_LISTS", {})
+            walk = reference_band_walk(band, order._tails_through(band, budget), budget)
+            assert order._listed_down_to({}, band, floor, budget, walk) == specs, band
+
+
+def test_band_walks_run_no_branch_and_bound_over_full_values(monkeypatch):
+    for store in ("_TAIL_LISTS", "_BAND_LISTS"):
+        monkeypatch.setattr(order, store, {})
+    true_prefixes_above, true_depth_cap = order._prefixes_above, order._depth_cap
+    offsets = []
+
+    def prefixes_above(d, length, offset, *rest):
+        offsets.append(("_prefixes_above", offset))
+        return true_prefixes_above(d, length, offset, *rest)
+
+    def depth_cap(threshold, offset, budget):
+        offsets.append(("_depth_cap", offset))
+        return true_depth_cap(threshold, offset, budget)
+
+    monkeypatch.setattr(order, "_prefixes_above", prefixes_above)
+    monkeypatch.setattr(order, "_depth_cap", depth_cap)
+    for index in enumerate_admissible_up_to(6):
+        phi(index)
+    # both ran, for the tail walks alone
+    assert set(offsets) == {("_prefixes_above", 1), ("_depth_cap", 1)}
