@@ -569,7 +569,7 @@ def test_a_family_starts_within_three_halves_of_its_limit():
         ratios[prefix] = first.lo_fraction / limit.hi_fraction
     # the empty prefix, whose limit is 1: t((2,)) = pi^2/8 < 3/2
     assert 2 * order._enclose(ValueSpec((2,), 0), width, budget).hi_fraction < 3
-    # close to tight: a smaller constant would not hold
+    # close to tight: no constant below 1.499 would hold
     assert max(ratios, key=ratios.get) == (2, 1, 1, 1, 1, 1, 1)
     assert max(ratios.values()) > Fraction(1499, 1000)
 
