@@ -13,8 +13,10 @@ pair and belong to it::
 Rows, each for one source tree (its ``src/`` is put on the path):
 
 * ``cold``: the fixed grid below (a calibration loop, the evaluator
-  layers, the order queries ``phi`` and ``beta_table``, and the pairing
-  scans up to weight 7, 9 and 10), each timed in a fresh Python process
+  layers, the direct oracle on one index and on the weight <= 6 family of
+  the ``oracle_crosscheck`` workload, the order queries ``phi`` and
+  ``beta_table``, and the pairing scans up to weight 7, 9 and 10), each
+  timed in a fresh Python process
   (every ``lru_cache`` empty),
   ``REPEAT`` times, with ``mpmath`` blocked so that a tree which still
   needs it fails here, each run with the process's peak RSS; each pairing
@@ -66,6 +68,7 @@ COLD_GRID = (
     ("evaluate_spec", 100),
     ("evaluate_spec", 300),
     ("evaluate_direct_many", 5),
+    ("evaluate_direct_family", 5),
     ("phi", 0),
     ("beta_table", 12),
     ("check_phi_conjecture", 8),
@@ -91,16 +94,20 @@ TV_COMMANDS = {
 # (argument: the order), evaluate_spec (argument: the exponent e of the
 # target width 10**-e),
 # evaluate_direct_many (argument: the exponent e of max_outer 10**e, at
-# offsets 0 and 1), phi (argument unused), beta_table (argument: the count,
-# the index unused) or check_phi_conjecture (argument: total_max t, with
+# offsets 0 and 1), evaluate_direct_family (the same argument and offsets,
+# over the indices of weight <= 6, the index unused), phi (argument
+# unused), beta_table (argument: the count, the index unused) or
+# check_phi_conjecture (argument: total_max t, with
 # weight_max = n_max = t - 1, the index unused)
 _CHILD = """
 import json, resource, sys, time
 sys.modules["mpmath"] = None
 from fractions import Fraction
 import tvals
-from tvals.evaluator import evaluate_direct_many, evaluate_spec, prefix_expansion
-from tvals.indices import ValueSpec
+from tvals.evaluator import (
+    evaluate_direct_family, evaluate_direct_many, evaluate_spec, prefix_expansion,
+)
+from tvals.indices import ValueSpec, enumerate_admissible_up_to
 from tvals.order import beta_table, phi
 from tvals.verify import check_phi_conjecture
 kind, index, arg = sys.argv[1], tuple(json.loads(sys.argv[2])), int(sys.argv[3])
@@ -113,6 +120,8 @@ elif kind == "prefix_expansion":
     prefix_expansion(index, arg)
 elif kind == "evaluate_direct_many":
     evaluate_direct_many(index, (0, 1), 10**arg)
+elif kind == "evaluate_direct_family":
+    evaluate_direct_family(enumerate_admissible_up_to(6), (0, 1), 10**arg)
 elif kind == "phi":
     phi(index)
 elif kind == "beta_table":
@@ -198,6 +207,8 @@ def _name(kind: str, arg: int) -> str:
         return f"prefix_expansion({INDEX}, {arg})"
     if kind == "evaluate_direct_many":
         return f"evaluate_direct_many({INDEX}, (0, 1), 10**{arg})"
+    if kind == "evaluate_direct_family":
+        return f"evaluate_direct_family(weight <= 6, (0, 1), 10**{arg})"
     if kind == "phi":
         return f"phi({INDEX})"
     if kind == "beta_table":

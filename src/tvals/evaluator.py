@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import floordiv
 from typing import Optional, Sequence
 
@@ -442,51 +442,64 @@ def _discard_bound(exponents: Sequence[int], max_outer: int) -> Fraction:
     Uses ``sum_{m>n} (2m-1)**(-k) <= (3/2)(2n+1)**(1-k)`` for the outer
     variable and bounds the inner chains over distinct values below ``m`` by
     ``L(m)**(d-1) / (d-1)!`` with ``L(m) <= 1 + log(2m)/2``.
+
+    The sum runs in integers over ``P/Q = _LN2_UPPER/2``, and one
+    ``Fraction`` is built at the end.
     """
     k = exponents[0]
     d = len(exponents)
     if k < 2:
         raise DivergentError(f"inadmissible index {tuple(exponents)}")
-    half_ln2 = _LN2_UPPER / 2
-
-    def tail_at(n: int) -> Fraction:
-        return Fraction(3, 2) * Fraction(1, (2 * n + 1) ** (k - 1))
-
     if d == 1:
-        return tail_at(max_outer)
-    # L(M * 2**t) <= 1 + log(2M)/2 + t*log(2)/2 <= a + b*t  (rational, exact)
-    a = 1 + Fraction((2 * max_outer).bit_length()) * half_ln2
-    b = half_ln2
+        return Fraction(3, 2 * (2 * max_outer + 1) ** (k - 1))
+    half_ln2 = _LN2_UPPER / 2
+    p, q = half_ln2.numerator, half_ln2.denominator
+    # L(M * 2**t) <= 1 + log(2M)/2 + t*log(2)/2 <= a + b*t with b = p/q and
+    # a = big_a/q, rational and exact
+    big_a = q + (2 * max_outer).bit_length() * p
     # Abel summation over blocks (M*2**t, M*2**(t+1)]:
     #   sum_t L(M_{t+1})^{d-1} (T(M_t) - T(M_{t+1}))
     #     = L(M_1)^{d-1} T(M_0) + sum_{t>=1} (L(M_{t+1})^{d-1} - L(M_t)^{d-1}) T(M_t)
     # where the increment of L**(d-1) over one block is at most
     # (d-1) * b * (a + b(t+1))**(d-2) since L grows by at most b per block.
-    total = (a + b) ** (d - 1) * tail_at(max_outer)
-    decay = Fraction(1, 2 ** (k - 1))
-    closure_ratio = decay * (1 + b / a) ** (d - 2)
-    if closure_ratio >= 1:
+    # With T(n) = 3 / (2 (2n+1)**(k-1)), every term is over
+    # scale * (2M 2**t + 1)**(k-1); num/den is the sum times scale.
+    scale = 2 * q ** (d - 1)
+    num = 3 * (big_a + p) ** (d - 1)
+    den = (2 * max_outer + 1) ** (k - 1)
+    # the closure ratio 2**(1-k) * (1 + b/a)**(d-2), as close_num/close_den
+    close_num = (big_a + p) ** (d - 2)
+    close_den = big_a ** (d - 2) << (k - 1)
+    if close_num >= close_den:
         raise ValueError(
             "term budget too small to certify the discarded region at depth "
             f"{d}; raise max_outer above {max_outer}"
         )
-    term = Fraction(0)
     for t in range(1, 41):
-        term = (d - 1) * b * (a + b * (t + 1)) ** (d - 2) * tail_at(max_outer * 2**t)
-        total += term
-        if term < Fraction(1, 2**200):
+        # the term is term_num / (scale * power)
+        term_num = 3 * (d - 1) * p * (big_a + p * (t + 1)) ** (d - 2)
+        power = (2 * max_outer * 2**t + 1) ** (k - 1)
+        num = num * power + term_num * den
+        den *= power
+        if term_num << 200 < scale * power:
             break
-    total += term * closure_ratio / (1 - closure_ratio)
-    return total / math.factorial(d - 1)
+    # the last term times closure/(1 - closure)
+    rest = close_den - close_num
+    num = num * power * rest + term_num * close_num * den
+    den *= power * rest
+    return Fraction(num, den * scale * math.factorial(d - 1))
 
 
 # Outer values per sweep block.  At most one block list per level of the
 # current suffix path is alive, so memory is bounded by depth times block.
-# Measured on CPython 3.11 (2 vCPU) over the weight <= 6 indices: blocks of
-# 64, 128 and 256 run equally fast within noise at 2*10**4 and 10**5 outer
-# values, and in a process that runs only the oracle, 64 keeps the peak RSS
-# of the loop over single outer values while 128 and 256 add 128 KB.
-_BLOCK = 64
+# Measured on CPython 3.11 (2 vCPU) over the 31 indices of weight <= 6, one
+# ``evaluate_direct_many`` call each at offsets 0 and 1 and 2*10**4 outer
+# values, best of 3 in each of 3 fresh processes: 0.41-0.46 s at a block of
+# 64, 0.37 s at 128, 0.34-0.38 s at 256, 0.32-0.33 s at 512 and 0.31-0.32 s
+# at 1024.  Those processes peaked at 13.90-14.06 MB RSS at 64, 13.91-14.05
+# at 256, 14.05-14.14 at 512 and 14.21-14.42 at 1024: 256 is the fastest
+# block that keeps the peak.
+_BLOCK = 256
 
 
 def evaluate_direct_family(
@@ -505,10 +518,15 @@ def evaluate_direct_family(
     offset.  A level depends only on the suffix of the index inward of it,
     so indices that share a suffix share its levels.
 
-    The outer values run in blocks of ``_BLOCK``.  Per block and offset,
-    each suffix (parents first) makes one pass of floor divisions and one of
-    running sums over its parent's block, and carries its last partial sum
-    into the next block.
+    The outer values run in blocks of ``_BLOCK``.  The innermost level
+    divides the constant root, so per block and exponent its quotients
+    ``2**fixed_bits // (2m-1)**k`` are computed once, and each offset takes
+    them with those at ``m <= offset`` zeroed.  Per block and offset, every
+    other suffix (parents first) makes one pass of floor divisions over its
+    parent's block.  A suffix with children then makes one pass of running
+    sums and carries its last partial sum into the next block; a leaf, whose
+    sums no level reads, adds only the sum of its quotients to its carried
+    partial sum.
 
     That floored sum is the lower endpoint.  The upper endpoint is it plus
     ``d * max_outer`` units of ``2**-fixed_bits`` plus the discarded-region
@@ -551,6 +569,7 @@ def evaluate_direct_family(
     children: dict[MultiIndex, list[MultiIndex]] = {}
     for suffix in suffixes:
         children.setdefault(suffix[1:], []).append(suffix)
+    roots = children.get((), [])
     one = 1 << fixed_bits
     # per suffix and offset: the floored partial sum over the blocks swept
     sums = {suffix: [0] * len(offsets) for suffix in suffixes}
@@ -559,21 +578,33 @@ def evaluate_direct_family(
         size = min(_BLOCK, max_outer + 1 - start)
         odds = range(2 * start - 1, 2 * (start + size) - 1, 2)
         powers = {k: [odd**k for odd in odds] for k in exponents}
+        # the innermost quotients, the same in every lane past its offset
+        shared = {
+            suffix: list(map(floordiv, repeat(one), powers[suffix[0]])) for suffix in roots
+        }
         for lane, n in enumerate(offsets):
-            # the empty suffix below m: 1 once m exceeds the offset
+            # the empty suffix is 1 only once m exceeds the offset, so the
+            # innermost quotients at m <= n are zero
             zeros = min(max(n + 1 - start, 0), size)
-            root = [0] * zeros + [one] * (size - zeros)
-            # depth first, so that a parent's block is dropped once its
-            # last child has read it
-            stack = [(suffix, root) for suffix in children.get((), ())]
+            # each suffix with its quotients; depth first, so that a
+            # parent's block is dropped once its last child has read it
+            stack = [
+                (suffix, [0] * zeros + shared[suffix][zeros:]) for suffix in roots
+            ]
             while stack:
-                suffix, block = stack.pop()
-                steps = map(floordiv, block, powers[suffix[0]])
+                suffix, steps = stack.pop()
+                below = children.get(suffix)
+                if not below:
+                    # a leaf: only its sum is read
+                    sums[suffix][lane] += sum(steps)
+                    continue
                 # starts with the partial sum below the block, so that the
                 # next level divides the sum below each m by m's power
                 block = list(accumulate(steps, initial=sums[suffix][lane]))
                 sums[suffix][lane] = block[-1]
-                stack.extend((child, block) for child in children.get(suffix, ()))
+                stack.extend(
+                    (child, map(floordiv, block, powers[child[0]])) for child in below
+                )
 
     out: dict[MultiIndex, dict[int, Enclosure]] = {}
     for index in indices:

@@ -85,6 +85,14 @@ def test_cold_grid_times_the_direct_oracle():
     got = record.time_cold(ROOT, "evaluate_direct_many", (2, 1), 3)
     assert got["seconds"] > 0
     assert set(got) == {"seconds", "peak_rss_mb", "python", "tvals"}
+    # the weight <= 6 family of the oracle_crosscheck workload, in one call
+    assert ("evaluate_direct_family", 5) in record.COLD_GRID
+    assert record._name("evaluate_direct_family", 5) == (
+        "evaluate_direct_family(weight <= 6, (0, 1), 10**5)"
+    )
+    got = record.time_cold(ROOT, "evaluate_direct_family", (), 3)
+    assert got["seconds"] > 0
+    assert set(got) == {"seconds", "peak_rss_mb", "python", "tvals"}
 
 
 def test_cold_grid_times_the_order_queries():

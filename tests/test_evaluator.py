@@ -236,24 +236,29 @@ def same_enclosure(a, b):
     )
 
 
-BLOCK = evaluator._BLOCK
-EDGE_OFFSETS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1)
+# The sizes and offsets below were written for blocks of 64 outer values;
+# the tests that use them run the sweep at that block, whatever block the
+# module ships, so that each keeps its block edges.
+BLOCK = 64
+SHIPPED_BLOCK = evaluator._BLOCK
 
 
-@pytest.mark.parametrize(
-    "index, max_outer, fixed_bits",
-    [
-        ((2,), 3 * BLOCK + 7, 80),
-        ((2, 1), 1537 // BLOCK * BLOCK + 1, 80),
-        ((3, 1, 2), 9 * BLOCK + 9, 80),
-        ((2, 1, 1, 1), 12 * BLOCK - 1, 80),
-        ((2, 2, 1, 1), 5 * BLOCK + 7, 40),
-    ],
-    ids=str,
-)
-def test_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits):
-    assert max_outer <= 1600 and max_outer % BLOCK
-    offsets = [n for n in EDGE_OFFSETS if n + len(index) + 2 <= max_outer]
+@pytest.fixture
+def block_of_64(monkeypatch):
+    monkeypatch.setattr(evaluator, "_BLOCK", BLOCK)
+
+
+def edge_offsets(block):
+    return (0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1)
+
+
+def check_block_sweep(index, max_outer, fixed_bits, block):
+    """The sweep at the current ``_BLOCK`` against the per-outer-value loop,
+    at offsets on and next to the first two block edges."""
+    assert evaluator._BLOCK == block
+    # at least three blocks, the last one partial
+    assert 2 * block < max_outer <= 1600 and max_outer % block
+    offsets = [n for n in edge_offsets(block) if n + len(index) + 2 <= max_outer]
     got = evaluate_direct_many(index, offsets, max_outer, fixed_bits)
     lanes = reference_lanes(index, offsets, max_outer, fixed_bits)
     want = reference_direct_many(index, offsets, max_outer, fixed_bits)
@@ -276,7 +281,51 @@ def test_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits):
         assert got[n].overlaps(want[n])
 
 
-def test_family_sweep_equals_one_index_sweeps():
+@pytest.mark.parametrize(
+    "index, max_outer, fixed_bits",
+    [
+        ((2,), 3 * BLOCK + 7, 80),
+        ((2, 1), 1537 // BLOCK * BLOCK + 1, 80),
+        ((3, 1, 2), 9 * BLOCK + 9, 80),
+        ((2, 1, 1, 1), 12 * BLOCK - 1, 80),
+        ((2, 2, 1, 1), 5 * BLOCK + 7, 40),
+    ],
+    ids=str,
+)
+def test_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits, block_of_64):
+    check_block_sweep(index, max_outer, fixed_bits, BLOCK)
+
+
+@pytest.mark.parametrize(
+    "index, max_outer, fixed_bits",
+    [
+        ((3,), 2 * SHIPPED_BLOCK + 5, 80),
+        ((2, 1), 3 * SHIPPED_BLOCK - 1, 80),
+        ((2, 1, 1, 1), 2 * SHIPPED_BLOCK + 3, 40),
+    ],
+    ids=str,
+)
+def test_shipped_block_sweep_matches_per_outer_value_loop(index, max_outer, fixed_bits):
+    check_block_sweep(index, max_outer, fixed_bits, SHIPPED_BLOCK)
+
+
+def test_family_sweep_is_the_same_at_every_block(monkeypatch):
+    # a block of one is the per-outer-value loop, and a block of 7 puts the
+    # block edges away from those of the powers of two
+    indices = enumerate_admissible_up_to(6)
+    offsets = (0, 1, 2, 65)
+    families = []
+    for block in sorted({1, 7, BLOCK, SHIPPED_BLOCK}):
+        monkeypatch.setattr(evaluator, "_BLOCK", block)
+        families.append(evaluate_direct_family(indices, offsets, 700))
+    first = families[0]
+    for family in families[1:]:
+        assert list(family) == list(first) == indices
+        for index in indices:
+            assert all(same_enclosure(family[index][n], first[index][n]) for n in offsets)
+
+
+def test_family_sweep_equals_one_index_sweeps(block_of_64):
     indices = enumerate_admissible_up_to(6)
     offsets = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
     family = evaluate_direct_family(indices, offsets, 4 * BLOCK + 3)
@@ -373,7 +422,7 @@ def rounding_misses(monkeypatch, fixed_bits=80):
     return misses
 
 
-def test_rounding_bound_holds_against_exact_sums(monkeypatch):
+def test_rounding_bound_holds_against_exact_sums(monkeypatch, block_of_64):
     assert EXACT_MAX_OUTER % BLOCK and len(exact_truncated_sums()) == 3 * 31
     assert rounding_misses(monkeypatch) == []
 
@@ -389,9 +438,77 @@ def test_rounding_bound_holds_against_exact_sums(monkeypatch):
     ],
     ids=["excess", "deficit"],
 )
-def test_planted_rounding_faults_are_rejected(fault, monkeypatch):
+def test_planted_rounding_faults_are_rejected(fault, monkeypatch, block_of_64):
     monkeypatch.setattr(evaluator, "floordiv", fault)
     assert len(rounding_misses(monkeypatch)) == 3 * 31
+
+
+# --- the discarded-region bound against its Fraction form -------------------
+
+def reference_discard_bound(exponents, max_outer):
+    """The oracle's discarded-region bound as first written, one ``Fraction``
+    operation at a time."""
+    k = exponents[0]
+    d = len(exponents)
+    half_ln2 = evaluator._LN2_UPPER / 2
+
+    def tail_at(n):
+        return Fraction(3, 2) * Fraction(1, (2 * n + 1) ** (k - 1))
+
+    if d == 1:
+        return tail_at(max_outer)
+    a = 1 + Fraction((2 * max_outer).bit_length()) * half_ln2
+    b = half_ln2
+    total = (a + b) ** (d - 1) * tail_at(max_outer)
+    decay = Fraction(1, 2 ** (k - 1))
+    closure_ratio = decay * (1 + b / a) ** (d - 2)
+    if closure_ratio >= 1:
+        raise ValueError(
+            "term budget too small to certify the discarded region at depth "
+            f"{d}; raise max_outer above {max_outer}"
+        )
+    term = Fraction(0)
+    for t in range(1, 41):
+        term = (d - 1) * b * (a + b * (t + 1)) ** (d - 2) * tail_at(max_outer * 2**t)
+        total += term
+        if term < Fraction(1, 2**200):
+            break
+    total += term * closure_ratio / (1 - closure_ratio)
+    return total / math.factorial(d - 1)
+
+
+def bound_or_error(bound, index, max_outer):
+    try:
+        return bound(index, max_outer)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("max_outer", [300, 4_000, 2 * 10**4, 10**5, 10**6])
+def test_discard_bound_equals_its_fraction_form(max_outer):
+    # at depth >= 2, leading exponents 5 and 6 (only 6 at 300) stop the
+    # series before its 40th term, once a term falls below 2**-200; lower
+    # ones sum all 40 terms
+    indices = enumerate_admissible_up_to(7)
+    assert len(indices) == 63
+    for index in indices:
+        assert evaluator._discard_bound(index, max_outer) == reference_discard_bound(
+            index, max_outer
+        )
+
+
+def test_discard_bound_fails_where_its_fraction_form_fails():
+    # deep indices at a few outer terms, where the closure ratio reaches 1
+    outcomes = [
+        (bound_or_error(evaluator._discard_bound, index, m),
+         bound_or_error(reference_discard_bound, index, m))
+        for index in [(2, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1), (3,) + (1,) * 8]
+        for m in (1, 2, 3, 5, 8)
+    ]
+    assert all(got == want for got, want in outcomes)
+    kinds = {type(got) for got, _ in outcomes}
+    assert kinds == {Fraction, str}
+    assert "term budget too small" in outcomes[0][0]
 
 
 # --- determinism, budgets, errors -------------------------------------------
